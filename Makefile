@@ -4,7 +4,7 @@ BENCH_BASE ?= BENCH_pr8.json
 CHAOS_SEEDS ?= 6
 CILKVET ?= bin/cilkvet
 
-.PHONY: build vet vet-unsafe lint lint-deprecated cilkvet check-binaries inline-check test race chaos chaos-service bench bench-directory bench-typed bench-spa bench-lookup bench-json bench-diff docs-check fmt-check ci
+.PHONY: build vet vet-unsafe lint lint-deprecated cilkvet check-binaries inline-check test bench-check race chaos chaos-service bench bench-directory bench-typed bench-spa bench-lookup bench-json bench-diff docs-check fmt-check ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,14 @@ inline-check:
 
 test:
 	$(GO) test ./...
+
+# bench-check vets and smoke-tests the repository benchmark (perfbench/).
+# It is a Go module of its own, so `./...` above never builds it, yet it
+# calls into the engines (LookupWord, Lookups, CacheHits); its quick test
+# runs every workload on both engines at tiny size.
+bench-check:
+	GOWORK=off $(GO) -C perfbench vet .
+	GOWORK=off $(GO) -C perfbench test -count=1 .
 
 # race exercises the Chase–Lev deque's memory-ordering assumptions (the
 # concurrent stress tests in internal/sched) and the reducer engines under
@@ -182,4 +190,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: build fmt-check vet lint check-binaries inline-check docs-check test race
+ci: build fmt-check vet lint check-binaries inline-check docs-check test bench-check race

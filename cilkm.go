@@ -120,7 +120,7 @@ type MetricSource = metrics.Source
 func NewExporter() *Exporter { return metrics.NewExporter() }
 
 // Option configures New (and NewEngineWith): mechanism, worker count, and
-// the engine knobs that used to live in the EngineOptions struct.
+// the engine knobs.
 type Option func(*options)
 
 type options struct {
@@ -149,9 +149,9 @@ func WithTiming() Option {
 	return func(o *options) { o.eng.Timing = true }
 }
 
-// WithCountLookups enables lookup counting.  Counting routes typed handle
-// accesses through the engine's counted lookup path, so enable it before
-// creating reducers.
+// WithCountLookups enables exact lookup counting: typed handles created
+// afterwards skip their view caches, so the engine's Lookups counts every
+// access.  Enable it before creating reducers.
 func WithCountLookups() Option {
 	return func(o *options) { o.eng.CountLookups = true }
 }
@@ -179,18 +179,6 @@ func WithParallelMergeThreshold(n int) Option {
 // either engine; zero sizes the directory from the worker count.
 func WithDirectoryShards(n int) Option {
 	return func(o *options) { o.eng.DirectoryShards = n }
-}
-
-// WithAdaptiveMerge lets the memory-mapped engine retune its hypermerge
-// batching knobs (MergeBatchSize, ParallelMergeThreshold) from live
-// pipeline signals — reduce pairs per merge, batch occupancy, the
-// identity-elision rate — at trace boundaries.  Knobs set explicitly with
-// WithMergeBatchSize or WithParallelMergeThreshold stay fixed overrides
-// the tuner never touches.  Tuning only changes merge partitioning
-// granularity, never reduce order, so results are unchanged.  Ignored by
-// the hypermap engine.
-func WithAdaptiveMerge() Option {
-	return func(o *options) { o.eng.AdaptiveMerge = true }
 }
 
 // WithMetricsExporter registers the session's runtime signals on the given
@@ -247,33 +235,6 @@ func NewEngineWith(opts ...Option) Engine {
 	return reducers.NewEngine(o.mech, o.workers, o.eng)
 }
 
-// EngineOptions tunes engine construction (instrumentation, address-space
-// modelling).
-//
-// Deprecated: use the functional options accepted by New and NewEngineWith.
-type EngineOptions = reducers.EngineOptions
-
-// NewSession creates a session with the given mechanism and worker count.
-//
-// Deprecated: use New with WithMechanism and WithWorkers.
-func NewSession(m Mechanism, workers int) *Session {
-	return New(WithMechanism(m), WithWorkers(workers))
-}
-
-// NewSessionWithOptions creates a session with explicit engine options.
-//
-// Deprecated: use New with functional options.
-func NewSessionWithOptions(m Mechanism, workers int, opts EngineOptions) *Session {
-	return reducers.NewSession(m, workers, opts)
-}
-
-// NewEngine creates a stand-alone reducer engine.
-//
-// Deprecated: use NewEngineWith with functional options.
-func NewEngine(m Mechanism, workers int, opts EngineOptions) Engine {
-	return reducers.NewEngine(m, workers, opts)
-}
-
 // NewAdd registers a sum reducer.
 func NewAdd[T reducers.Number](eng Engine) *reducers.Add[T] { return reducers.NewAdd[T](eng) }
 
@@ -310,9 +271,3 @@ func NewCustomOf[V any](eng Engine, m TypedMonoid[V]) *reducers.CustomOf[V] {
 func NewHandle[V any](eng Engine, m TypedMonoid[V]) Handle[V] {
 	return reducers.NewHandle[V](eng, m)
 }
-
-// NewCustom registers a reducer over an arbitrary untyped monoid.
-//
-// Deprecated: use NewCustomOf with a TypedMonoid, which keeps the view
-// typed end to end.
-func NewCustom(eng Engine, m Monoid) *reducers.Custom { return reducers.NewCustom(eng, m) }

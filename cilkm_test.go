@@ -7,10 +7,10 @@ import (
 )
 
 // TestFacadeQuickstart exercises the whole typed reducer library through
-// the deprecated NewSession shim, keeping the old constructor covered.
+// the facade constructors.
 func TestFacadeQuickstart(t *testing.T) {
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
-		s := cilkm.NewSession(mech, 2)
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
 		sum := cilkm.NewAdd[int](s.Engine())
 		list := cilkm.NewList[string](s.Engine())
 		mn := cilkm.NewMin[int](s.Engine())
@@ -59,23 +59,23 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeCustomAndEngineOptions(t *testing.T) {
-	eng := cilkm.NewEngine(cilkm.MemoryMapped, 2, cilkm.EngineOptions{Timing: true, ModelAddressSpace: true})
-	s := cilkm.NewSessionWithOptions(cilkm.Hypermap, 2, cilkm.EngineOptions{CountLookups: true})
+	eng := cilkm.NewEngineWith(cilkm.WithWorkers(2), cilkm.WithTiming(), cilkm.WithModelAddressSpace())
+	s := cilkm.New(cilkm.WithMechanism(cilkm.Hypermap), cilkm.WithWorkers(2), cilkm.WithCountLookups())
 	defer s.Close()
 	if eng.Name() == s.Engine().Name() {
 		t.Fatal("expected two different mechanisms")
 	}
-	cu := cilkm.NewCustom(s.Engine(), facadeMonoid{})
+	cu := cilkm.NewCustomOf[pair](s.Engine(), typedPairMonoid{})
 	if err := s.Run(func(c *cilkm.Context) {
 		c.ParallelFor(0, 100, func(c *cilkm.Context, i int) {
-			p := cu.View(c).(*pair)
+			p := cu.View(c)
 			p.a++
 			p.b += i
 		})
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got := cu.Value().(*pair)
+	got := cu.Value()
 	if got.a != 100 || got.b != 99*100/2 {
 		t.Fatalf("custom reducer = %+v", got)
 	}
@@ -85,17 +85,6 @@ func TestFacadeCustomAndEngineOptions(t *testing.T) {
 }
 
 type pair struct{ a, b int }
-
-type facadeMonoid struct{}
-
-func (facadeMonoid) Identity() any { return &pair{} }
-func (facadeMonoid) Reduce(l, r any) any {
-	lv := l.(*pair)
-	rv := r.(*pair)
-	lv.a += rv.a
-	lv.b += rv.b
-	return lv
-}
 
 type typedPairMonoid struct{}
 
@@ -153,12 +142,6 @@ func TestNewDefaultsAndEngineWith(t *testing.T) {
 	}
 	if !hm.CountingLookups() {
 		t.Fatal("WithCountLookups ignored")
-	}
-	// The deprecated stand-alone engine shim must agree with the
-	// options-based constructor.
-	old := cilkm.NewEngine(cilkm.Hypermap, 2, cilkm.EngineOptions{CountLookups: true})
-	if old.Name() != hm.Name() || old.CountingLookups() != hm.CountingLookups() {
-		t.Fatal("deprecated NewEngine shim disagrees with NewEngineWith")
 	}
 }
 

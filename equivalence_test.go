@@ -8,7 +8,6 @@ import (
 	"time"
 
 	cilkm "repro"
-	"repro/internal/core"
 	"repro/internal/reducers"
 )
 
@@ -76,8 +75,8 @@ func parallelTrace(c *cilkm.Context, list interface {
 // parallel execution equals the serial preorder under both mechanisms.
 func TestPropertyMechanismsMatchSerialOnRandomTrees(t *testing.T) {
 	sessions := map[cilkm.Mechanism]*cilkm.Session{
-		cilkm.MemoryMapped: cilkm.NewSession(cilkm.MemoryMapped, 3),
-		cilkm.Hypermap:     cilkm.NewSession(cilkm.Hypermap, 3),
+		cilkm.MemoryMapped: cilkm.New(cilkm.WithMechanism(cilkm.MemoryMapped), cilkm.WithWorkers(3)),
+		cilkm.Hypermap:     cilkm.New(cilkm.WithMechanism(cilkm.Hypermap), cilkm.WithWorkers(3)),
 	}
 	defer func() {
 		for _, s := range sessions {
@@ -129,7 +128,7 @@ func TestMechanismsAgreeOnAggregates(t *testing.T) {
 	answers := make(map[cilkm.Mechanism]answer)
 	const n = 50_000
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
-		s := cilkm.NewSession(mech, 4)
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(4))
 		sum := cilkm.NewAdd[int64](s.Engine())
 		mn := cilkm.NewMin[uint64](s.Engine())
 		mx := cilkm.NewMax[uint64](s.Engine())
@@ -168,7 +167,7 @@ func TestMechanismsAgreeOnAggregates(t *testing.T) {
 func TestReadOnlyAccessesPreserveEquivalence(t *testing.T) {
 	const n = 4000
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
-		s := cilkm.NewSession(mech, 4)
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(4))
 		written := cilkm.NewAdd[int64](s.Engine())
 		watched := cilkm.NewAdd[int64](s.Engine())
 		peeks := cilkm.NewAdd[int64](s.Engine())
@@ -213,7 +212,7 @@ func TestReadOnlyAccessesPreserveEquivalence(t *testing.T) {
 // unregistered mid-run and its slot address is immediately recycled by a
 // fresh registration.  With a single directory shard the shard's LIFO free
 // stack makes the reuse deterministic.  The Unregister must bump the view
-// epoch (so every per-handle and per-context cache re-resolves), and the
+// epoch (so every handle's cached view re-resolves), and the
 // handle occupying the recycled address must read its own identity view —
 // never the retired reducer's value — on both engines.
 func TestFastPathInvalidationOnMidRunUnregister(t *testing.T) {
@@ -268,21 +267,15 @@ func TestFastPathInvalidationOnMidRunUnregister(t *testing.T) {
 	}
 }
 
-// TestFastPathInvalidationOnAdaptiveRetune drives enough hypermerges
-// through an adaptively tuned engine to force the merge tuner through
-// several retune windows, while a typed handle is read between every merge.
-// Each spawned child runs as its own trace, so every Wait performs a real
-// hypermerge that bumps the worker's view epoch; the handle's fast path
-// must re-resolve after each bump and observe the running merged total — a
-// stale cached view would report a stale count.  Retuning itself only
-// changes batching granularity, and the test pins that the totals stay
-// exact on both engines (the tuner is memory-mapped-only; the hypermap
-// engine runs the same schedule as the no-tuner control).
-func TestFastPathInvalidationOnAdaptiveRetune(t *testing.T) {
-	const rounds = 80 // > 2 full retune windows of 32 hypermerges
+// TestFastPathInvalidationOnMerge reads a typed handle between many
+// hypermerges.  Each spawned child runs as its own trace, so every Wait
+// performs a real hypermerge that bumps the worker's view epoch; the
+// handle's fast path must re-resolve after each bump and observe the
+// running merged total — a stale cached view would report a stale count.
+func TestFastPathInvalidationOnMerge(t *testing.T) {
+	const rounds = 80
 	for _, mech := range []cilkm.Mechanism{cilkm.MemoryMapped, cilkm.Hypermap} {
-		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2),
-			cilkm.WithAdaptiveMerge())
+		s := cilkm.New(cilkm.WithMechanism(mech), cilkm.WithWorkers(2))
 		sum := cilkm.NewAdd[int64](s.Engine())
 		err := s.Run(func(c *cilkm.Context) {
 			start := c.ViewEpoch()
@@ -308,12 +301,6 @@ func TestFastPathInvalidationOnAdaptiveRetune(t *testing.T) {
 		}
 		if got := sum.Value(); got != rounds {
 			t.Fatalf("%v: merged total = %d, want %d", mech, got, rounds)
-		}
-		if mm, ok := s.Engine().(*core.MM); ok {
-			if _, _, adaptive, retunes := mm.MergeTuning(); !adaptive || retunes == 0 {
-				t.Fatalf("adaptive tuner never retuned (adaptive=%v retunes=%d); "+
-					"the test exercised no retune-epoch interaction", adaptive, retunes)
-			}
 		}
 		s.Close()
 	}

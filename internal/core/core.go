@@ -74,33 +74,27 @@ type Engine interface {
 	// Registered reports the number of live reducers.  Both engines answer
 	// from the directory's atomic live counter, without taking a lock.
 	Registered() int
-	// Lookup returns the local view of r for the execution context c.
-	// With a nil context (serial code outside the scheduler) it returns
-	// the leftmost view.
-	Lookup(c *sched.Context, r *Reducer) any
-	// LookupCached is the entry point behind the typed reducer handles'
-	// per-context view caches (reducers.Handle).  It resolves the local
-	// view exactly like Lookup and additionally returns the worker view
-	// epoch the resolution is valid for, sampled before the lookup so a
-	// concurrent invalidation can only make the caller conservatively
-	// re-resolve.  prevEpoch is the epoch of the caller's invalidated
-	// cache entry (zero on first touch); engines accept it for
-	// diagnostics and future slot-generation checks.  A newEpoch of zero
-	// tells the caller not to cache the returned view — engines return it
+	// LookupWord is the engine's one lookup primitive: it resolves the
+	// local view of r for the execution context c as the view's packed
+	// single-word representation (the slot word; reassemble the interface
+	// value with Reducer.BoxView, or convert directly to the typed
+	// pointer), so a typed update never constructs an interface value.
+	// With a nil or non-worker context it returns the leftmost view.
+	//
+	// mutable distinguishes accesses that may mutate the view
+	// (Handle.View) from read-only peeks (Handle.ReadView): a mutable
+	// resolution sets the slot's written bit, which exempts the view from
+	// the merge pipeline's identity-view elision.
+	//
+	// newEpoch is the worker view epoch the resolution is valid for,
+	// sampled before the lookup so a concurrent invalidation can only make
+	// a caching caller conservatively re-resolve.  A newEpoch of zero
+	// tells the caller not to cache the returned view: engines return it
 	// for nil contexts and for retired handles, whose frozen leftmost
-	// value must be re-read on every access, composing the cache with the
-	// directory's slot recycling and stale-view drops.
-	LookupCached(c *sched.Context, r *Reducer, prevEpoch uint64) (view any, newEpoch uint64)
-	// LookupWord is the word-level twin of LookupCached: it resolves the
-	// local view's packed single-word representation (the slot word;
-	// reassemble the interface value with Reducer.BoxView, or convert
-	// directly to the typed pointer).  The typed reducer handles use it so
-	// a steady-state typed update never constructs an interface value.
-	// mutable distinguishes accesses that may mutate the view (Handle.View)
-	// from read-only peeks (Handle.ReadView): a mutable resolution sets the
-	// slot's written bit, which exempts the view from the merge pipeline's
-	// identity-view elision.  The epoch result follows the LookupCached
-	// contract (zero means "do not cache").
+	// value must be re-read on every access.  prevEpoch is the epoch of
+	// the caller's invalidated cache entry (zero on first touch); engines
+	// accept it for diagnostics.  Every call from a worker context is
+	// counted (see Lookups).
 	LookupWord(c *sched.Context, r *Reducer, prevEpoch uint64, mutable bool) (word unsafe.Pointer, newEpoch uint64)
 	// MergeRootDeposit folds the deposit returned by Runtime.Run into the
 	// registered reducers' leftmost views.
@@ -127,20 +121,21 @@ type Engine interface {
 	// SetTiming enables or disables duration measurement inside the
 	// overhead instrumentation (event counts are always kept).
 	SetTiming(on bool)
-	// SetCountLookups enables or disables lookup counting, which is used
-	// by the PBFS experiment to report the number of reducer lookups.
-	// Typed reducer handles snapshot the flag at construction (see
-	// CountingLookups), so enabling counting after handles exist leaves
-	// those handles on their uncounted cached path — enable counting
-	// before creating the reducers whose lookups should be counted.
+	// SetCountLookups enables or disables exact lookup counting, which is
+	// used by the PBFS experiment to report the number of reducer
+	// lookups.  The engine counts every LookupWord call either way; the
+	// flag tells typed reducer handles to skip their own view caches so
+	// that every access reaches LookupWord.  Handles snapshot the flag at
+	// construction (see CountingLookups), so enable counting before
+	// creating the reducers whose lookups should be counted.
 	SetCountLookups(on bool)
-	// CountingLookups reports whether lookup counting is enabled.  Typed
-	// reducer handles snapshot it at construction: a handle built on a
-	// counting engine routes every access through the engine's counted
-	// Lookup instead of its own cache, so instrumented runs keep exact
-	// lookup counts.  Enable counting before creating handles.
+	// CountingLookups reports whether lookup counting is enabled.  A typed
+	// reducer handle built on a counting engine routes every access
+	// through LookupWord instead of its own cache, so instrumented runs
+	// keep exact lookup counts.
 	CountingLookups() bool
-	// Lookups reports the number of lookups counted since the last reset.
+	// Lookups reports the number of LookupWord calls from worker contexts
+	// since the last reset.
 	Lookups() int64
 	// Name identifies the mechanism in experiment output.
 	Name() string
@@ -148,7 +143,7 @@ type Engine interface {
 
 // Reducer is one reducer hyperobject.  The same Reducer value is shared by
 // all workers; what differs per worker is the local view the engine hands
-// out at Lookup time.
+// out at lookup time.
 type Reducer struct {
 	id   uint64
 	addr spa.Addr
@@ -156,7 +151,7 @@ type Reducer struct {
 	// addr.Slot()), precomputed at registration.  SlotsPerMap is not a power
 	// of two, so the decomposition costs an integer division and a modulo;
 	// hoisting it here means the lookup fast path probes the worker's
-	// private maps with two plain array indexes (see MM.LookupWordFast).
+	// private maps with two plain array indexes (see MM.LookupWord).
 	page, slot int32
 	// slotEpoch is the incarnation of the directory slot this reducer was
 	// registered under.  The slot's epoch is bumped on every unregister, so
@@ -257,6 +252,16 @@ func AbsorbView(r *Reducer, view any) { r.absorb(view) }
 // MarkRetired marks the reducer as unregistered.  It is exported for Engine
 // implementations outside this package.
 func MarkRetired(r *Reducer) { r.markRetired() }
+
+// Lookup returns the local view of r for the execution context c as an
+// interface value: Engine.LookupWord boxed with the reducer's view type.
+// It is a mutable access (the view is exempt from identity elision), and
+// with a nil context it returns the leftmost view.  Typed code uses the
+// reducers package's handles instead, which cache the typed pointer.
+func Lookup(c *sched.Context, r *Reducer) any {
+	word, _ := r.eng.LookupWord(c, r, 0, true)
+	return r.BoxView(word)
+}
 
 // Session couples a scheduler runtime with a reducer engine so that callers
 // get the complete "run a parallel computation with reducers" workflow in

@@ -29,10 +29,8 @@
 // Around that mechanism the package grows the runtime pieces a resident
 // engine needs: a sharded lock-free reducer directory (type Directory),
 // per-worker size-classed view arenas that recycle identity views through
-// the merge, a batched hypermerge pipeline that fans out through the
-// scheduler past a threshold, and — behind MMConfig.AdaptiveMerge — a
-// tuner (mergetune.go) that retunes the batching knobs from the live
-// pipeline counters at trace boundaries.  MM implements metrics.Source, so
+// the merge, and a batched hypermerge pipeline that fans out through the
+// scheduler past a threshold.  MM implements metrics.Source, so
 // every one of those counters is exportable on a scrape endpoint; see
 // docs/OBSERVABILITY.md at the repository root.
 package core

@@ -38,7 +38,7 @@ func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
 			}
 			if err := s.Run(func(c *sched.Context) {
 				c.ParallelForGrain(0, 100, 1, func(c *sched.Context, i int) {
-					eng.Lookup(c, r1).(*sumView).v++
+					core.Lookup(c, r1).(*sumView).v++
 				})
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
@@ -52,7 +52,7 @@ func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
 			if got := r1.Value().(*sumView).v; got != 100 {
 				t.Fatalf("final value after Unregister = %d, want 100", got)
 			}
-			if got := eng.Lookup(nil, r1).(*sumView).v; got != 100 {
+			if got := core.Lookup(nil, r1).(*sumView).v; got != 100 {
 				t.Fatalf("nil-context Lookup after Unregister = %d, want 100", got)
 			}
 			// A new registration must reuse the recycled slot without
@@ -68,7 +68,7 @@ func TestUnregisterSlotRecyclingBothEngines(t *testing.T) {
 				t.Fatalf("recycled slot leaked a value: %d", got)
 			}
 			if err := s.Run(func(c *sched.Context) {
-				eng.Lookup(c, r2).(*sumView).v += 7
+				core.Lookup(c, r2).(*sumView).v += 7
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -88,23 +88,23 @@ func TestLookupNilContextBothEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Register: %v", err)
 			}
-			if got := eng.Lookup(nil, r).(*sumView).v; got != 0 {
+			if got := core.Lookup(nil, r).(*sumView).v; got != 0 {
 				t.Fatalf("nil-context identity lookup = %d, want 0", got)
 			}
 			r.SetValue(&sumView{v: 9})
-			if got := eng.Lookup(nil, r).(*sumView).v; got != 9 {
+			if got := core.Lookup(nil, r).(*sumView).v; got != 9 {
 				t.Fatalf("nil-context lookup = %d, want 9", got)
 			}
 			// Repeated nil-context lookups must not be confused by any
 			// cached state from a previous parallel region.
 			s := core.NewSession(1, eng)
 			if err := s.Run(func(c *sched.Context) {
-				eng.Lookup(c, r).(*sumView).v++
+				core.Lookup(c, r).(*sumView).v++
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			s.Close()
-			if got := eng.Lookup(nil, r).(*sumView).v; got != 10 {
+			if got := core.Lookup(nil, r).(*sumView).v; got != 10 {
 				t.Fatalf("nil-context lookup after run = %d, want 10", got)
 			}
 		})
@@ -140,7 +140,7 @@ func TestParallelMergePreservesSerialOrder(t *testing.T) {
 			time.Sleep(20 * time.Microsecond) // widen the steal window
 			lane := i % lanes
 			step := i / lanes
-			eng.Lookup(c, rs[lane]).(*catView).s += string(rune('a' + step))
+			core.Lookup(c, rs[lane]).(*catView).s += string(rune('a' + step))
 		})
 	})
 	if err != nil {
@@ -180,7 +180,7 @@ func TestMergePipelineCounters(t *testing.T) {
 		for rep := 0; rep < reps; rep++ {
 			tr := eng.BeginTrace(w)
 			for _, r := range rs {
-				eng.Lookup(c, r).(*sumView).v++
+				core.Lookup(c, r).(*sumView).v++
 			}
 			d := eng.EndTrace(w, tr)
 			eng.Merge(w, w.CurrentTrace(), d)
@@ -239,7 +239,7 @@ func TestLookupCacheCountsHits(t *testing.T) {
 			const iters = 1000
 			if err := s.Run(func(c *sched.Context) {
 				for i := 0; i < iters; i++ {
-					eng.Lookup(c, r).(*sumView).v++
+					core.Lookup(c, r).(*sumView).v++
 				}
 			}); err != nil {
 				t.Fatalf("Run: %v", err)
@@ -283,7 +283,7 @@ func TestMergeBatchSizesEquivalent(t *testing.T) {
 		if err := s.Run(func(c *sched.Context) {
 			c.ParallelForGrain(0, lanes*steps, 1, func(c *sched.Context, i int) {
 				time.Sleep(5 * time.Microsecond)
-				eng.Lookup(c, rs[i%lanes]).(*catView).s += fmt.Sprint(i / lanes % 10)
+				core.Lookup(c, rs[i%lanes]).(*catView).s += fmt.Sprint(i / lanes % 10)
 			})
 		}); err != nil {
 			t.Fatalf("Run(batch=%d,thresh=%d): %v", batch, threshold, err)

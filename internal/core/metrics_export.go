@@ -37,12 +37,7 @@ func (e *MM) SampleMetrics(emit func(metrics.MetricSample)) {
 	counter("cilkm_pagepool_global_hits_total", "Allocations served by the global pool.", ps.GlobalHits)
 	gauge("cilkm_pagepool_outstanding_pages", "Pages currently checked out of the pool.", float64(ps.Outstanding()))
 
-	// The live tuning knobs: constant for a fixed-configuration engine,
-	// moving when the adaptive tuner is driving them.
-	batch, threshold, adaptive, retunes := e.MergeTuning()
-	gauge("cilkm_merge_batch_size", "Live hypermerge batch size (reduce pairs per batch).", float64(batch))
-	gauge("cilkm_parallel_merge_threshold", "Live fan-out threshold (reduce pairs per hypermerge).", float64(threshold))
-	if adaptive {
-		counter("cilkm_merge_retunes_total", "Adaptive-tuner retune events.", retunes)
-	}
+	// The batching knobs, fixed at construction.
+	gauge("cilkm_merge_batch_size", "Hypermerge batch size (reduce pairs per batch).", float64(e.cfg.MergeBatchSize))
+	gauge("cilkm_parallel_merge_threshold", "Fan-out threshold (reduce pairs per hypermerge).", float64(e.cfg.ParallelMergeThreshold))
 }

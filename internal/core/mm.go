@@ -45,17 +45,6 @@ type MMConfig struct {
 	// serially.  Zero selects the default (96); set it very large to keep
 	// every merge serial.
 	ParallelMergeThreshold int
-	// AdaptiveMerge enables the merge tuner: the engine re-derives
-	// MergeBatchSize and ParallelMergeThreshold at trace boundaries from
-	// the live pipeline signals (average reduce pairs per hypermerge,
-	// identity-elision rate) instead of keeping the constructor values for
-	// the engine's lifetime.  A knob explicitly set in this config is an
-	// override the tuner never touches, so fixed and adaptive operation
-	// compose per knob.  Tuning changes only how reduce batches are
-	// partitioned and fanned out, never the per-reducer reduce order, so
-	// results are bit-identical with tuning on or off (the noncommutative
-	// equivalence suites run under both).
-	AdaptiveMerge bool
 }
 
 // Default batching parameters of the hypermerge pipeline.
@@ -95,35 +84,18 @@ type MM struct {
 	// a lock.
 	workers atomic.Pointer[[]*mmWorker]
 
+	// countLookups is the flag typed handles snapshot at construction to
+	// decide whether to bypass their view caches (see CountingLookups).
 	countLookups bool
-	// lookups holds one cache-line-padded counter per worker, indexed
-	// directly by worker ID.  It is sized from the engine config at
-	// construction and re-sized in WorkerInit when a runtime with more
-	// workers attaches, so counts are never aliased across workers.
-	lookups []metrics.PaddedCounter
-	// cacheHits counts per-context lookup-cache hits per worker; like
-	// lookups it is only maintained while lookup counting is enabled, so
-	// the cached fast path stays free of atomic writes otherwise.
-	cacheHits []metrics.PaddedCounter
-
-	// mergeBatch and parallelThreshold are the live batching knobs.  They
-	// are atomics because the adaptive merge tuner (when enabled) retunes
-	// them concurrently with merges reading them; Merge loads each knob
-	// once per hypermerge, so one merge never observes a mid-flight mix.
-	mergeBatch        atomic.Int64
-	parallelThreshold atomic.Int64
-	// tuner adapts the batching knobs from live pipeline signals; nil
-	// unless cfg.AdaptiveMerge.
-	tuner *mergeTuner
-	// nworkers mirrors len(lookups) for lock-free readers (the tuner and
-	// the metrics sampler); updated under initMu in WorkerInit.
-	nworkers atomic.Int64
+	// nworkers is the number of per-worker structures (see Workers);
+	// guarded by initMu.
+	nworkers int
 	// mergePipe aggregates the hypermerge pipeline counters.
 	mergePipe metrics.MergePipeline
 
-	// fastHits, fastMisses and fastCold count the devirtualized typed-lookup
-	// fast path's outcomes (see lookupfast.go).  They tick only on
-	// handle-cache misses, never on the single-deref hit path, so one shared
+	// fastHits, fastMisses and fastCold count LookupWord's outcomes (see
+	// lookupfast.go).  Typed handles reach LookupWord only on their own
+	// cache misses, never on the single-deref hit path, so one shared
 	// padded counter per outcome is contention-free enough.
 	fastHits   metrics.PaddedCounter
 	fastMisses metrics.PaddedCounter
@@ -263,10 +235,6 @@ func NewMM(cfg MMConfig) *MM {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	// An explicitly configured knob is an override the adaptive tuner
-	// never touches; record which knobs were fixed before defaulting.
-	batchFixed := cfg.MergeBatchSize > 0
-	thresholdFixed := cfg.ParallelMergeThreshold > 0
 	if cfg.MergeBatchSize <= 0 {
 		cfg.MergeBatchSize = defaultMergeBatchSize
 	}
@@ -274,16 +242,9 @@ func NewMM(cfg MMConfig) *MM {
 		cfg.ParallelMergeThreshold = defaultParallelMergeThreshold
 	}
 	e := &MM{
-		cfg:       cfg,
-		rec:       metrics.NewRecorder(cfg.Workers),
-		lookups:   make([]metrics.PaddedCounter, cfg.Workers),
-		cacheHits: make([]metrics.PaddedCounter, cfg.Workers),
-	}
-	e.mergeBatch.Store(int64(cfg.MergeBatchSize))
-	e.parallelThreshold.Store(int64(cfg.ParallelMergeThreshold))
-	e.nworkers.Store(int64(cfg.Workers))
-	if cfg.AdaptiveMerge {
-		e.tuner = &mergeTuner{batchFixed: batchFixed, thresholdFixed: thresholdFixed}
+		cfg:      cfg,
+		rec:      metrics.NewRecorder(cfg.Workers),
+		nworkers: cfg.Workers,
 	}
 	e.rec.SetTiming(cfg.Timing)
 	e.countLookups = cfg.CountLookups
@@ -325,8 +286,8 @@ func (e *MM) growReducerPage(page int) error {
 }
 
 // publishViewInvalidation bumps every attached worker's view epoch, forcing
-// each context's single-entry lookup cache to re-resolve on its next
-// lookup.  It is the cross-worker publication step for events that change
+// every typed handle's cached view on that worker to re-resolve on its next
+// access.  It is the cross-worker publication step for events that change
 // shared view metadata beneath running contexts: a reducer unregistered
 // mid-run and the view regions growing.
 func (e *MM) publishViewInvalidation() {
@@ -406,115 +367,12 @@ func (e *MM) Directory() *Directory { return e.dir }
 // contention counters.
 func (e *MM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
 
-// Lookup implements Engine.  The fast path is the paper's two memory
-// accesses and a predictable branch: read the reducer's tlmm_addr, index
-// the worker's private view slots, and test the resulting words.  Ahead
-// of it sits the per-context single-entry cache: when a loop body looks up
-// the same reducer repeatedly, two compares (reducer identity and the
-// worker's view epoch) replace even the SPA indexing, and a steal, view
-// transferal or hypermerge invalidates the cache by bumping the epoch.
-//
-// Lookup hands out an interface value the caller may mutate through, so it
-// counts as a mutable access: the slot's written bit is set on the first
-// probe, exempting the view from identity elision.
-func (e *MM) Lookup(c *sched.Context, r *Reducer) any {
-	if c == nil {
-		return r.Value()
-	}
-	w := c.Worker()
-	ws, _ := w.Local().(*mmWorker)
-	if ws == nil {
-		return r.Value()
-	}
-	if e.countLookups {
-		e.lookups[w.ID()].Add(1)
-	}
-	if v, ok := c.CachedView(r.id); ok {
-		if e.countLookups {
-			e.cacheHits[w.ID()].Add(1)
-		}
-		return v
-	}
-	if s := ws.private.SlotAt(r.addr); s.View() != nil {
-		// The slot's second word stamps the view with its owning reducer;
-		// matching it against r guarantees a recycled address never serves
-		// a stale view.  This keeps the fast path independent of the
-		// number of live reducers: one array index and one compare.
-		if s.Owner() == ownerWord(r) {
-			if !s.Written() {
-				ws.private.MarkWritten(r.addr)
-			}
-			v := r.BoxView(s.View())
-			c.CacheView(r.id, v)
-			return v
-		}
-	}
-	return e.lookupSlow(c, w, ws, r, true)
-}
-
-// LookupCached implements Engine: the boxed resolution step behind the
-// typed handles' per-context view caches (retained for callers that want
-// the interface value; the handles themselves use LookupWord).  The epoch
-// is sampled before the lookup, so an invalidation racing the resolution
-// (an unregister or view-region growth on another goroutine) leaves the
-// caller holding an already-stale epoch and forces a harmless re-resolution
-// on its next access.  Retired handles and nil contexts return epoch zero —
-// "do not cache" — because their result is the reducer's frozen leftmost
-// value, which must be re-read every time (SetValue may replace it between
-// accesses).
-func (e *MM) LookupCached(c *sched.Context, r *Reducer, prevEpoch uint64) (any, uint64) {
-	_ = prevEpoch
-	if c == nil {
-		return r.Value(), 0
-	}
-	epoch := c.Worker().ViewEpoch()
-	v := e.Lookup(c, r)
-	if !e.dir.Valid(r) {
-		return v, 0
-	}
-	return v, epoch
-}
-
-// LookupWord implements Engine: the word-level lookup behind the typed
-// handles.  It resolves the slot word directly — no interface value is
-// constructed anywhere on the hit path — and only a mutable access sets
-// the slot's written bit, so read-only ReadView accesses leave identity
-// views elidable by the merge pipeline.
-func (e *MM) LookupWord(c *sched.Context, r *Reducer, prevEpoch uint64, mutable bool) (unsafe.Pointer, uint64) {
-	_ = prevEpoch
-	if c == nil {
-		return r.UnboxView(r.Value()), 0
-	}
-	w := c.Worker()
-	ws, _ := w.Local().(*mmWorker)
-	if ws == nil {
-		return r.UnboxView(r.Value()), 0
-	}
-	if e.countLookups {
-		// Counted handles route reads here (bypassing their caches), so
-		// instrumented runs keep exact lookup counts on this path too.
-		e.lookups[w.ID()].Add(1)
-	}
-	epoch := w.ViewEpoch()
-	if s := ws.private.SlotAt(r.addr); s.View() != nil && s.Owner() == ownerWord(r) {
-		if mutable && !s.Written() {
-			ws.private.MarkWritten(r.addr)
-		}
-		return s.View(), epoch
-	}
-	v := e.lookupSlow(c, w, ws, r, mutable)
-	if !e.dir.Valid(r) {
-		return r.UnboxView(v), 0
-	}
-	return r.UnboxView(v), epoch
-}
-
 // Workers implements Engine: the number of per-worker structures currently
 // maintained (construction size, grown when a larger runtime attaches).
 func (e *MM) Workers() int {
 	e.initMu.Lock()
 	defer e.initMu.Unlock()
-	return len(e.lookups)
+	return e.nworkers
 }
 
 // lookupSlow creates and installs an identity view: it runs at most once
@@ -523,10 +381,9 @@ func (e *MM) Workers() int {
 // view carved out of the worker's view arena — a free-list pop or a bump
 // allocation, no heap allocator — and the slot's arena flag records that
 // the block is recyclable when the view dies.  mutable stamps the written
-// bit (and populates the context's boxed cache); a read-only first lookup
-// leaves the bit clear so the identity view can be elided if it is never
-// subsequently written.
-func (e *MM) lookupSlow(c *sched.Context, w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool) any {
+// bit; a read-only first lookup leaves the bit clear so the identity view
+// can be elided if it is never subsequently written.
+func (e *MM) lookupSlow(w *sched.Worker, ws *mmWorker, r *Reducer, mutable bool) any {
 	if !e.dir.Valid(r) {
 		// A retired handle: no new view is created for it.  Serve the
 		// frozen leftmost value, matching a serial lookup after
@@ -570,21 +427,15 @@ func (e *MM) lookupSlow(c *sched.Context, w *sched.Worker, ws *mmWorker, r *Redu
 
 	start = e.rec.Start()
 	// The slot's second word is the owner stamp (the reducer handle, which
-	// carries the monoid), not the bare monoid: see Lookup.
+	// carries the monoid), not the bare monoid: matching it against r on
+	// every lookup guarantees a recycled address never serves a stale view.
 	if err := ws.private.Insert(r.addr, word, ownerWord(r), flags); err != nil {
 		// The slot was cleared of any stale occupant above, so an occupied
 		// slot here is a programming error.
 		panic(fmt.Sprintf("core: SPA slot %d unexpectedly occupied: %v", r.addr, err))
 	}
 	e.rec.Stop(w.ID(), metrics.ViewInsertion, start)
-	v := r.BoxView(word)
-	if mutable {
-		// Only mutable resolutions may populate the context's boxed cache:
-		// a cached hit never revisits the slot, so it must not be able to
-		// bypass the written-bit stamping of a later mutable access.
-		c.CacheView(r.id, v)
-	}
-	return v
+	return r.BoxView(word)
 }
 
 // ensureMapped backs SPA page index pi with a physical page in this
@@ -623,14 +474,12 @@ func (ws *mmWorker) ensureMapped(pi int) {
 
 // WorkerInit implements sched.ReducerRuntime.  It runs once per worker
 // while the attaching runtime is being constructed — before any of that
-// runtime's tasks execute — so it sizes the per-worker lookup counters
-// from the runtime's actual worker count.  Lookup can then index by
-// worker ID directly, and counts are never aliased when the engine config
-// and the runtime disagree about the number of workers.  An engine must
-// not be attached to a new runtime while a previously attached one is
-// executing: the resize would race with that runtime's lock-free Lookup
-// reads.  (Sessions couple one engine to one runtime, so no current
-// caller does this.)
+// runtime's tasks execute — so it grows the per-worker instrumentation to
+// the runtime's actual worker count, which the recorder indexes by worker
+// ID directly.  An engine must not be attached to a new runtime while a
+// previously attached one is executing: the resize would race with that
+// runtime's lock-free recorder writes.  (Sessions couple one engine to one
+// runtime, so no current caller does this.)
 func (e *MM) WorkerInit(w *sched.Worker) {
 	ws := &mmWorker{
 		eng:     e,
@@ -642,11 +491,9 @@ func (e *MM) WorkerInit(w *sched.Worker) {
 	}
 	w.SetLocal(ws)
 	e.initMu.Lock()
-	if n := w.Runtime().Workers(); n > len(e.lookups) {
-		e.lookups = append(e.lookups, make([]metrics.PaddedCounter, n-len(e.lookups))...)
-		e.cacheHits = append(e.cacheHits, make([]metrics.PaddedCounter, n-len(e.cacheHits))...)
+	if n := w.Runtime().Workers(); n > e.nworkers {
 		e.rec.EnsureWorkers(n)
-		e.nworkers.Store(int64(n))
+		e.nworkers = n
 	}
 	// Republish the worker list copy-on-write: publication sweeps
 	// (Unregister, region growth) iterate it lock-free.
@@ -1064,10 +911,8 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 			return true
 		})
 	}
-	// Load the batching knobs once per hypermerge: the adaptive tuner may
-	// retune them concurrently, and one merge must partition consistently.
-	mergeBatch := int(e.mergeBatch.Load())
-	parallelThreshold := int(e.parallelThreshold.Load())
+	mergeBatch := e.cfg.MergeBatchSize
+	parallelThreshold := e.cfg.ParallelMergeThreshold
 	reduces := int64(len(ops))
 	var order []uint32
 	if len(ops) >= mergeLocalitySortMin && len(ops) < 1<<mergeLocalityIdxBits {
@@ -1134,13 +979,6 @@ func (e *MM) Merge(w *sched.Worker, tr sched.Trace, d sched.Deposit) {
 	}
 	dep.views = nil
 	dep.count = 0
-	// A completed hypermerge is a trace-boundary event and the only point
-	// where the tuner's input signals change, so retuning hooks in here
-	// (and costs one atomic load and a compare when the window has not
-	// filled, nothing when tuning is off).
-	if e.tuner != nil {
-		e.tuner.maybeRetune(e)
-	}
 }
 
 // MergeRootDeposit implements Engine: the views produced by the root trace
@@ -1274,12 +1112,6 @@ func (e *MM) Overheads() metrics.Breakdown { return e.rec.Snapshot() }
 // ResetOverheads implements Engine.
 func (e *MM) ResetOverheads() {
 	e.rec.Reset()
-	for i := range e.lookups {
-		e.lookups[i].Store(0)
-	}
-	for i := range e.cacheHits {
-		e.cacheHits[i].Store(0)
-	}
 	e.fastHits.Store(0)
 	e.fastMisses.Store(0)
 	e.fastCold.Store(0)
@@ -1287,22 +1119,11 @@ func (e *MM) ResetOverheads() {
 }
 
 // MergeStats returns a snapshot of the hypermerge pipeline counters, with
-// CacheHits filled in from the per-worker hit counters.
+// CacheHits filled in from the lookup counters.
 func (e *MM) MergeStats() metrics.MergePipelineStats {
 	s := e.mergePipe.Snapshot()
 	s.CacheHits = e.CacheHits()
 	return s
-}
-
-// CacheHits reports the number of lookups served by the per-context cache
-// since the last reset.  Like Lookups it only counts while lookup counting
-// is enabled.
-func (e *MM) CacheHits() int64 {
-	var n int64
-	for i := range e.cacheHits {
-		n += e.cacheHits[i].Load()
-	}
-	return n
 }
 
 // SetTiming implements Engine.
@@ -1313,15 +1134,6 @@ func (e *MM) SetCountLookups(on bool) { e.countLookups = on }
 
 // CountingLookups implements Engine.
 func (e *MM) CountingLookups() bool { return e.countLookups }
-
-// Lookups implements Engine.
-func (e *MM) Lookups() int64 {
-	var n int64
-	for i := range e.lookups {
-		n += e.lookups[i].Load()
-	}
-	return n
-}
 
 // WorkerPrivateViews reports the number of views currently held in worker
 // i's private SPA maps (diagnostic; it should be zero between runs).

@@ -34,7 +34,7 @@ type Config struct {
 
 // HM is the hypermap reducer engine (the Cilk Plus baseline mechanism).
 // The concrete name matters to the typed reducer handles: they capture *HM
-// at construction and call its LookupWordFast directly, mirroring the
+// at construction and call its LookupWord directly, mirroring the
 // memory-mapped engine's *core.MM, so neither mechanism pays an interface
 // dispatch on a handle-cache miss.
 type HM struct {
@@ -54,26 +54,19 @@ type HM struct {
 	// Unregister can publish view invalidations without a lock.
 	workers atomic.Pointer[[]*hmWorker]
 
+	// countLookups is the flag typed handles snapshot at construction to
+	// decide whether to bypass their view caches (see CountingLookups).
 	countLookups bool
-	// lookups holds one cache-line-padded counter per worker, indexed
-	// directly by worker ID.  It is sized from the engine config at
-	// construction and re-sized in WorkerInit when a runtime with more
-	// workers attaches, so counts are never aliased across workers.
-	lookups []metrics.PaddedCounter
-	// cacheHits counts per-context lookup-cache hits per worker, so that
-	// the Figure comparisons stay apples-to-apples with the memory-mapped
-	// engine: both mechanisms run the same single-entry cache ahead of
-	// their respective lookup structures.  Maintained only while lookup
-	// counting is enabled.
-	cacheHits []metrics.PaddedCounter
+	// nworkers is the number of per-worker structures (see Workers);
+	// guarded by initMu.
+	nworkers int
 
 	// elisions counts never-written views the hypermerge skipped, the
 	// hypermap counterpart of metrics.MergePipeline.IdentityElisions.
 	elisions metrics.PaddedCounter
 
-	// fastHits, fastMisses and fastCold count the devirtualized typed-lookup
-	// fast path's outcomes (see lookupfast.go); they tick only on
-	// handle-cache misses, mirroring the memory-mapped engine's counters.
+	// fastHits, fastMisses and fastCold count LookupWord's outcomes (see
+	// lookupfast.go), mirroring the memory-mapped engine's counters.
 	fastHits   metrics.PaddedCounter
 	fastMisses metrics.PaddedCounter
 	fastCold   metrics.PaddedCounter
@@ -147,10 +140,9 @@ func New(cfg Config) *HM {
 		cfg.Workers = 1
 	}
 	e := &HM{
-		cfg:       cfg,
-		rec:       metrics.NewRecorder(cfg.Workers),
-		lookups:   make([]metrics.PaddedCounter, cfg.Workers),
-		cacheHits: make([]metrics.PaddedCounter, cfg.Workers),
+		cfg:      cfg,
+		rec:      metrics.NewRecorder(cfg.Workers),
+		nworkers: cfg.Workers,
 	}
 	e.dir = core.NewDirectory(core.DirectoryConfig{
 		Shards:  cfg.DirectoryShards,
@@ -162,7 +154,8 @@ func New(cfg Config) *HM {
 }
 
 // publishViewInvalidation bumps every attached worker's view epoch so no
-// context keeps serving a cached view after its reducer is unregistered.
+// typed handle keeps serving a cached view after its reducer is
+// unregistered.
 func (e *HM) publishViewInvalidation() {
 	if ws := e.workers.Load(); ws != nil {
 		for _, s := range *ws {
@@ -220,105 +213,18 @@ func (e *HM) Directory() *core.Directory { return e.dir }
 // contention counters.
 func (e *HM) DirectoryStats() metrics.DirectoryStats { return e.dir.Stats() }
 
-// Lookup implements core.Engine: a hash-table lookup keyed by the reducer's
-// address, creating and inserting an identity view on a miss.  The same
-// per-context single-entry cache the memory-mapped engine runs sits ahead
-// of the hash table, so repeated lookups of one reducer in a loop body skip
-// the hashing entirely and the Figure comparisons stay apples-to-apples.
-// Like the memory-mapped engine, Lookup hands out a mutable view, so it
-// stamps the entry's written bit.
-func (e *HM) Lookup(c *sched.Context, r *core.Reducer) any {
-	if c == nil {
-		return r.Value()
-	}
-	w := c.Worker()
-	ws, _ := w.Local().(*hmWorker)
-	if ws == nil {
-		return r.Value()
-	}
-	if e.countLookups {
-		e.lookups[w.ID()].Add(1)
-	}
-	if v, ok := c.CachedView(r.ID()); ok {
-		if e.countLookups {
-			e.cacheHits[w.ID()].Add(1)
-		}
-		return v
-	}
-	if ent := ws.user.lookup(r.Addr()); ent != nil && ent.owner == r {
-		// The owner stamp guarantees an entry at a recycled address never
-		// serves a stale view (mirroring the memory-mapped engine's SPA
-		// slot stamp).
-		ent.written = true
-		v := r.BoxView(ent.view)
-		c.CacheView(r.ID(), v)
-		return v
-	}
-	return e.lookupSlow(c, w, ws, r, true)
-}
-
-// LookupCached implements core.Engine: the resolution step behind the typed
-// handles' per-context view caches, mirroring the memory-mapped engine so
-// the typed API is mechanism-agnostic.  The epoch is sampled before the
-// lookup (a racing invalidation only forces a harmless re-resolution); a
-// zero epoch tells the caller not to cache — returned for nil contexts and
-// retired handles, whose frozen leftmost value must be re-read every time.
-func (e *HM) LookupCached(c *sched.Context, r *core.Reducer, prevEpoch uint64) (any, uint64) {
-	_ = prevEpoch
-	if c == nil {
-		return r.Value(), 0
-	}
-	epoch := c.Worker().ViewEpoch()
-	v := e.Lookup(c, r)
-	if !e.dir.Valid(r) {
-		return v, 0
-	}
-	return v, epoch
-}
-
-// LookupWord implements core.Engine: the word-level lookup behind the typed
-// handles, mirroring the memory-mapped engine so the typed API is
-// mechanism-agnostic.  Only mutable accesses stamp the entry's written bit;
-// read-only accesses leave identity views elidable by the hypermerge.
-func (e *HM) LookupWord(c *sched.Context, r *core.Reducer, prevEpoch uint64, mutable bool) (unsafe.Pointer, uint64) {
-	_ = prevEpoch
-	if c == nil {
-		return r.UnboxView(r.Value()), 0
-	}
-	w := c.Worker()
-	ws, _ := w.Local().(*hmWorker)
-	if ws == nil {
-		return r.UnboxView(r.Value()), 0
-	}
-	if e.countLookups {
-		// Counted handles route reads here (bypassing their caches), so
-		// instrumented runs keep exact lookup counts on this path too.
-		e.lookups[w.ID()].Add(1)
-	}
-	epoch := w.ViewEpoch()
-	if ent := ws.user.lookup(r.Addr()); ent != nil && ent.owner == r {
-		if mutable {
-			ent.written = true
-		}
-		return ent.view, epoch
-	}
-	v := e.lookupSlow(c, w, ws, r, mutable)
-	if !e.dir.Valid(r) {
-		return r.UnboxView(v), 0
-	}
-	return r.UnboxView(v), epoch
-}
-
 // Workers implements core.Engine: the number of per-worker structures
 // currently maintained (construction size, grown when a larger runtime
 // attaches).
 func (e *HM) Workers() int {
 	e.initMu.Lock()
 	defer e.initMu.Unlock()
-	return len(e.lookups)
+	return e.nworkers
 }
 
-func (e *HM) lookupSlow(c *sched.Context, w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable bool) any {
+// lookupSlow creates and inserts an identity view for r on a lookup miss;
+// mutable stamps the entry's written bit.
+func (e *HM) lookupSlow(w *sched.Worker, ws *hmWorker, r *core.Reducer, mutable bool) any {
 	if !e.dir.Valid(r) {
 		// A retired handle: serve the frozen leftmost value, matching a
 		// serial lookup after unregistration.
@@ -341,12 +247,6 @@ func (e *HM) lookupSlow(c *sched.Context, w *sched.Worker, ws *hmWorker, r *core
 	start = e.rec.Start()
 	ws.user.insert(r.Addr(), entry{view: word, owner: r, written: mutable})
 	e.rec.Stop(w.ID(), metrics.ViewInsertion, start)
-	if mutable {
-		// Only mutable resolutions populate the context's boxed cache: a
-		// cached hit never revisits the entry, so it must not bypass the
-		// written-bit stamping of a later mutable access.
-		c.CacheView(r.ID(), view)
-	}
 	return view
 }
 
@@ -354,22 +254,19 @@ func (e *HM) lookupSlow(c *sched.Context, w *sched.Worker, ws *hmWorker, r *core
 
 // WorkerInit implements sched.ReducerRuntime.  It runs once per worker
 // while the attaching runtime is being constructed — before any of that
-// runtime's tasks execute — so it sizes the per-worker lookup counters
-// from the runtime's actual worker count.  Lookup can then index by
-// worker ID directly, and counts are never aliased when the engine config
-// and the runtime disagree about the number of workers.  An engine must
-// not be attached to a new runtime while a previously attached one is
-// executing: the resize would race with that runtime's lock-free Lookup
-// reads.  (Sessions couple one engine to one runtime, so no current
-// caller does this.)
+// runtime's tasks execute — so it grows the per-worker instrumentation to
+// the runtime's actual worker count, which the recorder indexes by worker
+// ID directly.  An engine must not be attached to a new runtime while a
+// previously attached one is executing: the resize would race with that
+// runtime's lock-free recorder writes.  (Sessions couple one engine to one
+// runtime, so no current caller does this.)
 func (e *HM) WorkerInit(w *sched.Worker) {
 	ws := &hmWorker{eng: e, w: w, user: e.newHypermap()}
 	w.SetLocal(ws)
 	e.initMu.Lock()
-	if n := w.Runtime().Workers(); n > len(e.lookups) {
-		e.lookups = append(e.lookups, make([]metrics.PaddedCounter, n-len(e.lookups))...)
-		e.cacheHits = append(e.cacheHits, make([]metrics.PaddedCounter, n-len(e.cacheHits))...)
+	if n := w.Runtime().Workers(); n > e.nworkers {
 		e.rec.EnsureWorkers(n)
+		e.nworkers = n
 	}
 	// Republish the worker list copy-on-write: publication sweeps iterate
 	// it lock-free.
@@ -565,27 +462,10 @@ func (e *HM) Overheads() metrics.Breakdown { return e.rec.Snapshot() }
 // ResetOverheads implements core.Engine.
 func (e *HM) ResetOverheads() {
 	e.rec.Reset()
-	for i := range e.lookups {
-		e.lookups[i].Store(0)
-	}
-	for i := range e.cacheHits {
-		e.cacheHits[i].Store(0)
-	}
 	e.elisions.Store(0)
 	e.fastHits.Store(0)
 	e.fastMisses.Store(0)
 	e.fastCold.Store(0)
-}
-
-// CacheHits reports the number of lookups served by the per-context cache
-// since the last reset.  Like Lookups it only counts while lookup counting
-// is enabled.
-func (e *HM) CacheHits() int64 {
-	var n int64
-	for i := range e.cacheHits {
-		n += e.cacheHits[i].Load()
-	}
-	return n
 }
 
 // SetTiming implements core.Engine.
@@ -596,15 +476,6 @@ func (e *HM) SetCountLookups(on bool) { e.countLookups = on }
 
 // CountingLookups implements core.Engine.
 func (e *HM) CountingLookups() bool { return e.countLookups }
-
-// Lookups implements core.Engine.
-func (e *HM) Lookups() int64 {
-	var n int64
-	for i := range e.lookups {
-		n += e.lookups[i].Load()
-	}
-	return n
-}
 
 // WorkerViewCount reports the number of views in worker i's user hypermap
 // (diagnostic; it should be zero between runs).

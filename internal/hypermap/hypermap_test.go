@@ -73,7 +73,7 @@ func TestHypermapSerialAndParallelSum(t *testing.T) {
 				if workers > 1 {
 					time.Sleep(20 * time.Microsecond)
 				}
-				eng.Lookup(c, r).(*sumView).v++
+				core.Lookup(c, r).(*sumView).v++
 			})
 		})
 		if err != nil {
@@ -107,7 +107,7 @@ func TestHypermapNonCommutativeOrder(t *testing.T) {
 	err := s.Run(func(c *sched.Context) {
 		c.ParallelForGrain(0, n, 1, func(c *sched.Context, i int) {
 			time.Sleep(40 * time.Microsecond)
-			view := eng.Lookup(c, r).(*catView)
+			view := core.Lookup(c, r).(*catView)
 			view.s += string(byte('a' + i%26))
 		})
 	})
@@ -128,7 +128,7 @@ func TestHypermapOverheadsAndLookupCounting(t *testing.T) {
 	err := s.Run(func(c *sched.Context) {
 		c.ParallelForGrain(0, n, 1, func(c *sched.Context, i int) {
 			time.Sleep(20 * time.Microsecond)
-			eng.Lookup(c, r).(*sumView).v++
+			core.Lookup(c, r).(*sumView).v++
 		})
 	})
 	if err != nil {
@@ -164,7 +164,7 @@ func TestHypermapMergeRootDepositNil(t *testing.T) {
 func TestHypermapSerialContext(t *testing.T) {
 	eng := hypermap.New(hypermap.Config{Workers: 1})
 	r, _ := eng.Register(sumMonoid{})
-	eng.Lookup(nil, r).(*sumView).v = 9
+	core.Lookup(nil, r).(*sumView).v = 9
 	if got := r.Value().(*sumView).v; got != 9 {
 		t.Fatalf("serial-context value = %d, want 9", got)
 	}
@@ -190,7 +190,7 @@ func TestHypermapIdentityElision(t *testing.T) {
 			tr := e.BeginTrace(w)
 			for i, r := range rs {
 				if i%2 == 0 {
-					e.Lookup(c, r).(*sumView).v++ // written
+					core.Lookup(c, r).(*sumView).v++ // written
 				} else {
 					word, _ := e.LookupWord(c, r, 0, false) // read-only
 					if got := (*sumView)(word).v; got != 0 {
@@ -234,7 +234,7 @@ func TestHypermapWriteAfterReadOnlyLookup(t *testing.T) {
 		tr := e.BeginTrace(w)
 		word, _ := e.LookupWord(c, r, 0, false)
 		_ = (*sumView)(word).v
-		e.Lookup(c, r).(*sumView).v += 5
+		core.Lookup(c, r).(*sumView).v += 5
 		d := e.EndTrace(w, tr)
 		e.Merge(w, w.CurrentTrace(), d)
 	}); err != nil {

@@ -28,8 +28,8 @@ func ratio(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// EmitMergePipeline emits the hypermerge pipeline counters plus the two
-// derived gauges the adaptive tuner consumes: merge batch occupancy
+// EmitMergePipeline emits the hypermerge pipeline counters plus two
+// derived gauges: merge batch occupancy
 // (reduce pairs per batch) and the identity-elision rate (elided views as
 // a fraction of views reaching the merge).
 func EmitMergePipeline(emit func(MetricSample), engine string, s MergePipelineStats) {
@@ -54,21 +54,21 @@ func EmitElisions(emit func(MetricSample), engine string, elisions, slotsMerged 
 	gauge(emit, engine, "cilkm_identity_elision_rate", "Elided views as a fraction of views reaching the merge.", ratio(elisions, elisions+slotsMerged))
 }
 
-// EmitLookups emits the lookup counters shared by both engines.  Only
-// meaningful while lookup counting is enabled; the counters read zero
-// otherwise.
+// EmitLookups emits the lookup counters shared by both engines: calls to
+// the engine's LookupWord primitive, and the subset an already-resident
+// view served.  Typed handles reach the primitive only on their own cache
+// misses unless lookup counting is enabled, in which case every access is
+// counted.
 func EmitLookups(emit func(MetricSample), engine string, lookups, cacheHits int64) {
-	counter(emit, engine, "cilkm_lookups_total", "Reducer lookups (counted only while lookup counting is enabled).", lookups)
-	counter(emit, engine, "cilkm_lookup_cache_hits_total", "Lookups served by the per-context cache.", cacheHits)
+	counter(emit, engine, "cilkm_lookups_total", "Engine LookupWord calls (every handle access while lookup counting is enabled).", lookups)
+	counter(emit, engine, "cilkm_lookup_cache_hits_total", "Engine lookups served by an already-resident view.", cacheHits)
 	gauge(emit, engine, "cilkm_lookup_cache_hit_rate", "Cache hits as a fraction of lookups.", ratio(cacheHits, lookups))
 }
 
-// EmitLookupFastPath emits the devirtualized typed-lookup fast-path
-// counters shared by both engines, plus the derived hit rate (fast probes
-// answered in place as a fraction of all fast probes).  These are always
-// maintained — unlike the cilkm_lookups_total family they do not depend on
-// lookup counting being enabled — because they only tick on handle-cache
-// misses, off the single-deref hit path.
+// EmitLookupFastPath emits the engine lookup primitive's outcome counters
+// shared by both engines, plus the derived hit rate (fast probes answered
+// in place as a fraction of all fast probes).  cilkm_lookups_total and
+// cilkm_lookup_cache_hits_total are derived from the same counters.
 func EmitLookupFastPath(emit func(MetricSample), engine string, s LookupFastPathStats) {
 	counter(emit, engine, "cilkm_fastpath_hits_total", "Typed-lookup fast probes answered by the precomputed slot index.", s.Hits)
 	counter(emit, engine, "cilkm_fastpath_misses_total", "Typed-lookup fast probes that took the outlined miss path.", s.Misses)

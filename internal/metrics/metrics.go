@@ -147,9 +147,9 @@ type MergePipeline struct {
 }
 
 // MergePipelineStats is a point-in-time snapshot of MergePipeline.
-// CacheHits is not tracked by the pipeline itself — the engines keep
-// per-worker hit counters next to their lookup counters and fill the field
-// in when snapshotting (see MM.MergeStats).
+// CacheHits is not tracked by the pipeline itself — the engine derives it
+// from its lookup counters and fills the field in when snapshotting (see
+// MM.MergeStats).
 type MergePipelineStats struct {
 	Merges           int64
 	SlotsMerged      int64
@@ -197,21 +197,21 @@ func (m *MergePipeline) Reset() {
 	m.LocalitySorts.Store(0)
 }
 
-// LookupFastPathStats is a point-in-time snapshot of the devirtualized
-// typed-lookup fast path's outcome counters.  The single-deref hit inside
-// reducers.Handle is deliberately counter-free (a counter there would cost
-// as much as the lookup it measures); these counters start one layer down,
-// at the engines' concrete LookupWordFast entry points, which run only when
-// a handle's per-worker cache slot misses — a per-trace event, not a
-// per-update one, so an atomic increment is affordable there.
+// LookupFastPathStats is a point-in-time snapshot of the outcome counters
+// of the engines' one lookup primitive, LookupWord.  The single-deref hit
+// inside reducers.Handle is deliberately counter-free (a counter there
+// would cost as much as the lookup it measures); these counters start one
+// layer down, at LookupWord, which an uncounted handle calls only when its
+// per-worker cache slot misses — a per-trace event, not a per-update one,
+// so an atomic increment is affordable there.
 type LookupFastPathStats struct {
 	// Hits counts fast probes answered by the precomputed (page, slot)
 	// index — or, on the hypermap engine, the bucket-head probe — with no
 	// slow-path work.
 	Hits int64
 	// Misses counts fast probes that fell through to the outlined miss
-	// path (written-bit stamping, non-worker contexts, first touches,
-	// recycled slots, retired handles).
+	// path (written-bit stamping, first touches, recycled slots, retired
+	// handles).  Nil and non-worker contexts are not counted.
 	Misses int64
 	// ColdMisses counts the subset of Misses that reached the engines'
 	// lookupSlow — view creation, stale-slot recovery, or a retired

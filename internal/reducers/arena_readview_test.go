@@ -1,10 +1,13 @@
 package reducers
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -200,4 +203,49 @@ func TestCountedReadViewStaysReadOnly(t *testing.T) {
 	if got := sum.Value(); got != 0 {
 		t.Fatalf("value = %d, want 0", got)
 	}
+}
+
+// TestReadViewBeyondCacheSlotsStaysReadOnly covers a handle on an engine
+// built for fewer workers than the runtime it is attached to: worker 1 has
+// no cache slot in the handle, so its ReadView resolves uncached — and must
+// still resolve read-only, leaving the identity view elidable at trace end
+// instead of stamping it written and transferring it to the join.
+func TestReadViewBeyondCacheSlotsStaysReadOnly(t *testing.T) {
+	const attempts = 20
+	for attempt := 0; attempt < attempts; attempt++ {
+		eng := core.NewMM(core.MMConfig{Workers: 1})
+		sum := NewAdd[int](eng) // sized before attach: one cache slot
+		s := core.NewSessionWithConfig(sched.Config{Workers: 2}, eng)
+		var onWorker1 atomic.Bool
+		err := s.Run(func(c *sched.Context) {
+			c.ParallelForGrain(0, 64, 1, func(c *sched.Context, i int) {
+				time.Sleep(20 * time.Microsecond)
+				if got := *sum.ReadView(c); got != 0 {
+					t.Errorf("ReadView = %d, want 0", got)
+				}
+				if c.WorkerID() == 1 {
+					onWorker1.Store(true)
+				}
+			})
+		})
+		ovh, ms := eng.Overheads(), eng.MergeStats()
+		s.Close()
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if !onWorker1.Load() {
+			continue // no steal this time: worker 1 never read
+		}
+		if n := ovh.Count(metrics.ViewTransferal); n != 0 {
+			t.Fatalf("%d view transferals from read-only traces, want 0", n)
+		}
+		if ms.IdentityElisions < 2 {
+			t.Fatalf("IdentityElisions = %d, want >= 2 (root trace and worker 1's trace)", ms.IdentityElisions)
+		}
+		if got := sum.Value(); got != 0 {
+			t.Fatalf("value = %d, want 0", got)
+		}
+		return
+	}
+	t.Fatalf("no ReadView ran on worker 1 in %d attempts", attempts)
 }

@@ -2,6 +2,7 @@ package reducers
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hypermap"
@@ -70,5 +71,89 @@ func TestFastPathCounters(t *testing.T) {
 				t.Fatalf("ResetOverheads left fast-path counters: %+v", got)
 			}
 		})
+	}
+}
+
+// TestBoxedLookupAgreesWithHandle pins that the boxed core.Lookup helper and
+// the typed handle resolve the same view on both engines: in a stolen
+// continuation (a fresh trace on the thief), after the worker's view epoch
+// is bumped under a cached handle, and after Unregister, where both serve
+// the reducer's frozen leftmost value.
+func TestBoxedLookupAgreesWithHandle(t *testing.T) {
+	agree := func(t *testing.T, c *sched.Context, sum *Add[int64]) *int64 {
+		t.Helper()
+		typed := sum.View(c)
+		boxed, ok := core.Lookup(c, sum.Reducer()).(*int64)
+		if !ok || boxed != typed {
+			t.Errorf("core.Lookup = %p, Handle.View = %p", boxed, typed)
+		}
+		if again := sum.View(c); again != typed {
+			t.Errorf("Handle.View changed after core.Lookup: %p -> %p", typed, again)
+		}
+		return typed
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, s *core.Session, sum *Add[int64])
+	}{
+		{"stolen continuation", func(t *testing.T, s *core.Session, sum *Add[int64]) {
+			const attempts = 20
+			for attempt := 0; attempt < attempts; attempt++ {
+				stolen := false
+				if err := s.Run(func(c *sched.Context) {
+					left := c.WorkerID()
+					c.Fork(func(c *sched.Context) {
+						*agree(t, c, sum)++
+						time.Sleep(2 * time.Millisecond)
+					}, func(c *sched.Context) {
+						stolen = c.WorkerID() != left
+						*agree(t, c, sum)++
+					})
+				}); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if stolen {
+					if got := sum.Value(); got != int64(2*(attempt+1)) {
+						t.Fatalf("value = %d, want %d", got, 2*(attempt+1))
+					}
+					return
+				}
+			}
+			t.Fatalf("continuation never stolen in %d attempts", attempts)
+		}},
+		{"invalidated epoch", func(t *testing.T, s *core.Session, sum *Add[int64]) {
+			if err := s.Run(func(c *sched.Context) {
+				*agree(t, c, sum)++
+				c.Worker().InvalidateLookupCache()
+				*agree(t, c, sum)++
+			}); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if got := sum.Value(); got != 2 {
+				t.Fatalf("value = %d, want 2", got)
+			}
+		}},
+		{"unregistered", func(t *testing.T, s *core.Session, sum *Add[int64]) {
+			if err := s.Run(func(c *sched.Context) { sum.Add(c, 5) }); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			sum.Close()
+			if err := s.Run(func(c *sched.Context) {
+				if v := agree(t, c, sum); v != sum.Peek() || *v != 5 {
+					t.Errorf("retired view = %p (%d), want the leftmost %p (5)", v, *v, sum.Peek())
+				}
+			}); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		for _, m := range Mechanisms() {
+			t.Run(tc.name+"/"+m.String(), func(t *testing.T) {
+				s := NewSession(m, 2, EngineOptions{})
+				defer s.Close()
+				tc.run(t, s, NewAdd[int64](s.Engine()))
+			})
+		}
 	}
 }

@@ -146,12 +146,12 @@ type viewSlot[V any] struct {
 // already serialises the engines' view machinery: trace boundaries and
 // hypermerges bump it owner-side, unregisters and view-region growth bump
 // it cross-worker, so a cached *V can never outlive the untyped view it
-// shadows.  On a miss the handle resolves through Engine.LookupCached,
-// performing the single untyped lookup and one conversion, and re-stamps
-// the slot with the epoch sampled before that lookup.
+// shadows.  On a miss the handle resolves the view word through the
+// engine's LookupWord and re-stamps the slot with the epoch sampled before
+// that lookup.
 //
 // A handle built on an engine with lookup counting enabled routes every
-// access through the engine's counted Lookup instead (the instrumented
+// access through LookupWord instead, bypassing its cache (the instrumented
 // runs of the paper's figures need exact lookup counts); enable counting
 // before creating handles.
 type Handle[V any] struct {
@@ -162,15 +162,13 @@ type Handle[V any] struct {
 	counted bool
 	// mm and hm are the devirtualized miss paths, captured by a type switch
 	// at construction: at most one is non-nil, and a cache miss on it calls
-	// the engine's concrete LookupWordFast directly instead of dispatching
+	// the engine's concrete LookupWord directly instead of dispatching
 	// through the Engine interface.  A third-party engine leaves both nil
-	// and misses resolve through the interface LookupWord, the retained
-	// slow/fallback path.
+	// and misses resolve through the interface.
 	mm *core.MM
 	hm *hypermap.HM
 	// slots is the typed view cache, indexed by worker ID.  A worker of a
-	// larger runtime attached after construction falls back to the
-	// uncached typed lookup.
+	// larger runtime attached after construction resolves uncached.
 	slots []viewSlot[V]
 }
 
@@ -231,7 +229,7 @@ func newHandle[V any](eng core.Engine, m TypedMonoid[V]) Handle[V] {
 // View returns the local view of the reducer for context c as a typed
 // pointer, for reading or mutation.  With a nil context (serial code
 // outside the scheduler) it returns the leftmost view, so typed reducers
-// degrade to ordinary variables exactly like the untyped Lookup path.
+// degrade to ordinary variables exactly like core.Lookup.
 //
 // The steady-state hit is an epoch load, two compares and the typed
 // deref — nothing else.  Everything that is not that shape (nil contexts,
@@ -243,10 +241,10 @@ func newHandle[V any](eng core.Engine, m TypedMonoid[V]) Handle[V] {
 // test.
 //
 // The miss path resolves the packed slot word through the engine's
-// concrete LookupWordFast (captured at construction, no interface
-// dispatch; see Handle.mm) and, being a mutable access, stamps the slot's
-// written bit, which exempts the view from the merge pipeline's
-// identity-view elision.
+// concrete LookupWord (captured at construction, no interface dispatch;
+// see Handle.mm) and, being a mutable access, stamps the slot's written
+// bit, which exempts the view from the merge pipeline's identity-view
+// elision.
 func (h *Handle[V]) View(c *sched.Context) *V {
 	if c != nil {
 		// The id comes off the context, not the worker, so the slot fetch
@@ -267,27 +265,16 @@ func (h *Handle[V]) viewMiss(c *sched.Context) *V {
 	if c == nil {
 		return h.r.Value().(*V)
 	}
-	if h.counted {
-		return h.eng.Lookup(c, h.r).(*V)
-	}
-	w := c.Worker()
-	id := w.ID()
-	if id >= len(h.slots) {
-		// A worker of a larger runtime attached after construction: no
-		// cache slot, fall back to the uncached typed lookup.
-		return h.eng.Lookup(c, h.r).(*V)
+	id := c.WorkerID()
+	if h.counted || id >= len(h.slots) {
+		// Counted handles bypass their caches so every access reaches the
+		// engine's counter; a worker of a larger runtime attached after
+		// construction has no cache slot.
+		word, _ := h.lookupWord(c, 0, true)
+		return (*V)(word)
 	}
 	s := &h.slots[id]
-	var word unsafe.Pointer
-	var epoch uint64
-	switch {
-	case h.mm != nil:
-		word, epoch = h.mm.LookupWordFast(c, h.r, true)
-	case h.hm != nil:
-		word, epoch = h.hm.LookupWordFast(c, h.r, true)
-	default:
-		word, epoch = h.eng.LookupWord(c, h.r, s.wepoch, true)
-	}
+	word, epoch := h.lookupWord(c, s.wepoch, true)
 	tv := (*V)(word)
 	if epoch != 0 {
 		// Engines return epoch zero for "do not cache" (retired
@@ -327,30 +314,16 @@ func (h *Handle[V]) readViewMiss(c *sched.Context) *V {
 	if c == nil {
 		return h.r.Value().(*V)
 	}
-	if h.counted {
-		// Counted handles bypass their caches so instrumented runs keep
-		// exact lookup counts — but a read must still resolve through the
-		// read-only path (LookupWord counts it too), or counting would
-		// stamp the written bit and silently disable identity elision.
-		word, _ := h.eng.LookupWord(c, h.r, 0, false)
+	id := c.WorkerID()
+	if h.counted || id >= len(h.slots) {
+		// Uncached, as in viewMiss — but still read-only, or counting (or
+		// a larger runtime) would stamp the written bit and silently
+		// disable identity elision.
+		word, _ := h.lookupWord(c, 0, false)
 		return (*V)(word)
 	}
-	w := c.Worker()
-	id := w.ID()
-	if id >= len(h.slots) {
-		return h.eng.Lookup(c, h.r).(*V)
-	}
 	s := &h.slots[id]
-	var word unsafe.Pointer
-	var epoch uint64
-	switch {
-	case h.mm != nil:
-		word, epoch = h.mm.LookupWordFast(c, h.r, false)
-	case h.hm != nil:
-		word, epoch = h.hm.LookupWordFast(c, h.r, false)
-	default:
-		word, epoch = h.eng.LookupWord(c, h.r, s.repoch, false)
-	}
+	word, epoch := h.lookupWord(c, s.repoch, false)
 	tv := (*V)(word)
 	if epoch != 0 {
 		// The resolution did not stamp the written bit, so it must not
@@ -360,6 +333,19 @@ func (h *Handle[V]) readViewMiss(c *sched.Context) *V {
 		s.ctx, s.wepoch, s.repoch, s.view = c, 0, epoch, tv
 	}
 	return tv
+}
+
+// lookupWord resolves the view word through the engine's LookupWord,
+// calling the concrete engine captured at construction (see Handle.mm)
+// without an interface dispatch when there is one.
+func (h *Handle[V]) lookupWord(c *sched.Context, prevEpoch uint64, mutable bool) (unsafe.Pointer, uint64) {
+	switch {
+	case h.mm != nil:
+		return h.mm.LookupWord(c, h.r, prevEpoch, mutable)
+	case h.hm != nil:
+		return h.hm.LookupWord(c, h.r, prevEpoch, mutable)
+	}
+	return h.eng.LookupWord(c, h.r, prevEpoch, mutable)
 }
 
 // Peek returns the reducer's current leftmost view as a typed pointer:

@@ -332,28 +332,27 @@ func TestCustomReducer(t *testing.T) {
 		count int
 		sum   float64
 	}
-	mon := FuncMonoid{
-		IdentityFn: func() any { return &stats{} },
-		ReduceFn: func(l, r any) any {
-			lv, rv := l.(*stats), r.(*stats)
-			lv.count += rv.count
-			lv.sum += rv.sum
-			return lv
+	mon := TypedFuncMonoid[stats]{
+		IdentityFn: func() *stats { return &stats{} },
+		ReduceFn: func(l, r *stats) *stats {
+			l.count += r.count
+			l.sum += r.sum
+			return l
 		},
 	}
 	forEachMechanism(t, func(t *testing.T, m Mechanism) {
 		s := testSession(t, m, 2)
-		cu := NewCustom(s.Engine(), mon)
+		cu := NewCustomOf[stats](s.Engine(), mon)
 		if err := s.Run(func(c *sched.Context) {
 			c.ParallelFor(0, 1000, func(c *sched.Context, i int) {
-				v := cu.View(c).(*stats)
+				v := cu.View(c)
 				v.count++
 				v.sum += float64(i)
 			})
 		}); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		got := cu.Value().(*stats)
+		got := cu.Value()
 		if got.count != 1000 || got.sum != 999*1000/2 {
 			t.Fatalf("stats = %+v", got)
 		}

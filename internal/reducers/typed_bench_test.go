@@ -8,9 +8,18 @@ import (
 )
 
 // The boxed* types replicate the seed's pre-generics reducer wrappers —
-// an interface Lookup plus a runtime type assertion on every update — so
-// the typed-vs-boxed benchmarks measure exactly the overhead the
-// generics-first API removes.
+// an interface lookup (core.Lookup) plus a runtime type assertion on every
+// update — so the typed-vs-boxed benchmarks measure exactly the overhead
+// the generics-first API removes.
+
+// mustRegister registers a monoid and panics on failure.
+func mustRegister(eng core.Engine, m core.Monoid) *core.Reducer {
+	r, err := eng.Register(m)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
 
 type boxedAddView[T Number] struct{ v T }
 
@@ -23,17 +32,14 @@ func (boxedAddMonoid[T]) Reduce(left, right any) any {
 	return l
 }
 
-type boxedAdd[T Number] struct {
-	eng core.Engine
-	r   *core.Reducer
-}
+type boxedAdd[T Number] struct{ r *core.Reducer }
 
 func newBoxedAdd[T Number](eng core.Engine) *boxedAdd[T] {
-	return &boxedAdd[T]{eng: eng, r: mustRegister(eng, boxedAddMonoid[T]{})}
+	return &boxedAdd[T]{r: mustRegister(eng, boxedAddMonoid[T]{})}
 }
 
 func (a *boxedAdd[T]) add(c *sched.Context, v T) {
-	a.eng.Lookup(c, a.r).(*boxedAddView[T]).v += v
+	core.Lookup(c, a.r).(*boxedAddView[T]).v += v
 }
 
 type boxedListView[T any] struct{ items []T }
@@ -47,17 +53,14 @@ func (boxedListMonoid[T]) Reduce(left, right any) any {
 	return l
 }
 
-type boxedList[T any] struct {
-	eng core.Engine
-	r   *core.Reducer
-}
+type boxedList[T any] struct{ r *core.Reducer }
 
 func newBoxedList[T any](eng core.Engine) *boxedList[T] {
-	return &boxedList[T]{eng: eng, r: mustRegister(eng, boxedListMonoid[T]{})}
+	return &boxedList[T]{r: mustRegister(eng, boxedListMonoid[T]{})}
 }
 
 func (l *boxedList[T]) pushBack(c *sched.Context, v T) {
-	view := l.eng.Lookup(c, l.r).(*boxedListView[T])
+	view := core.Lookup(c, l.r).(*boxedListView[T])
 	view.items = append(view.items, v)
 }
 
@@ -139,7 +142,7 @@ func BenchmarkBoxedList(b *testing.B) {
 		lst := newBoxedList[int64](s.Engine())
 		b.ReportAllocs()
 		_ = s.Run(func(c *sched.Context) {
-			view := lst.eng.Lookup(c, lst.r).(*boxedListView[int64])
+			view := core.Lookup(c, lst.r).(*boxedListView[int64])
 			view.items = make([]int64, 0, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -218,11 +221,10 @@ func BenchmarkRawSliceIndexBaseline(b *testing.B) {
 	})
 }
 
-// BenchmarkTypedAddRotating rotates over four reducers.  The engines'
-// single-entry per-context caches thrash under rotation, but every typed
+// BenchmarkTypedAddRotating rotates over four reducers.  Every typed
 // handle keeps its own per-worker slot, so the typed path still serves
-// cache hits — the case where the handle-side cache beats the engine-side
-// cache outright.
+// cache hits under rotation, while the boxed path pays an engine lookup on
+// every update.
 func BenchmarkTypedAddRotating(b *testing.B) {
 	benchEachMechanism(b, func(b *testing.B, s *core.Session) {
 		sums := [4]*Add[int64]{}

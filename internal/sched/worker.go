@@ -46,9 +46,9 @@ type Worker struct {
 	// boundary or a hypermerge (InvalidateLookupCache, owner-side), or a
 	// cross-worker publication such as a reducer being unregistered or the
 	// directory's view regions growing (PublishViewInvalidation, any
-	// goroutine).  The per-context single-entry lookup cache is valid only
+	// goroutine).  A typed reducer handle's cached view is valid only
 	// while its recorded epoch matches, so any of those events silently
-	// invalidates every cache built before it.  The counter is atomic so
+	// invalidates every cached view stamped before it.  The counter is atomic so
 	// non-owner publishers can bump it, and padded onto its own cache line
 	// so a publication sweep does not invalidate the lines holding the
 	// owner's other hot fields; the owner's fast-path read is a single
@@ -121,9 +121,8 @@ func (w *Worker) SetLocal(v any) { w.local = v }
 func (w *Worker) CurrentTrace() Trace { return w.curTrace }
 
 // InvalidateLookupCache bumps the worker's view epoch, invalidating every
-// per-context lookup cache built against the previous epoch.  Reducer
-// mechanisms call it whenever the views a context might have cached can
-// change beneath it: at trace boundaries and after hypermerges.  It must be
+// cached view stamped with the previous epoch.  Reducer mechanisms call it
+// whenever the views a context might have cached can change beneath it: at trace boundaries and after hypermerges.  It must be
 // called from the worker's own goroutine; other goroutines use
 // PublishViewInvalidation.
 func (w *Worker) InvalidateLookupCache() { w.viewEpoch.Add(1) }

@@ -5,9 +5,9 @@
 # The steady-state lookup contract (docs/ARCHITECTURE.md, "Lookup fast
 # path") depends on the Go inliner flattening the hit shape at every layer:
 # the slot probe and owner-stamp check into the memory-mapped engine's
-# LookupWordFast, the bucket-head probe into the hypermap engine's
-# LookupWordFast, and the worker-id/epoch accessors into the handle's View
-# and ReadView.  None of that is visible in a test — a regression (say, a
+# LookupWord (its one lookup primitive, in lookupfast.go), the bucket-head
+# probe into the hypermap engine's LookupWord, and the worker-id/epoch
+# accessors into the handle's View and ReadView.  None of that is visible in a test — a regression (say, a
 # helper growing past the 80-node inlining budget) silently turns a
 # single-deref hit into a call chain.  This script greps the compiler's
 # -gcflags=-m diagnostics for the exact decisions the fast path relies on
@@ -55,14 +55,14 @@ require 'internal/sched/context.go' 'can inline (*Context).ViewEpoch'
 require 'internal/sched/context.go' 'can inline (*Context).WorkerID'
 require 'internal/sched/worker.go' 'can inline (*Worker).ViewEpoch'
 
-# Layer 2: the memory-mapped engine's LookupWordFast hit shape is fully
+# Layer 2: the memory-mapped engine's LookupWord hit shape is fully
 # flattened — probe, owner-stamp check, view word and epoch all inline.
 require 'internal/core/lookupfast.go' 'inlining call to spa.(*MapSet).Probe'
 require 'internal/core/lookupfast.go' 'inlining call to spa.Slot.FastHit'
 require 'internal/core/lookupfast.go' 'inlining call to spa.Slot.View'
 require 'internal/core/lookupfast.go' 'inlining call to sched.(*Worker).ViewEpoch'
 
-# Layer 2 (baseline engine): the hypermap LookupWordFast hit shape —
+# Layer 2 (baseline engine): the hypermap LookupWord hit shape —
 # bucket-head probe (hash included) and epoch inline.
 require 'internal/hypermap/lookupfast.go' 'inlining call to (*hashTable).probeHead'
 require 'internal/hypermap/lookupfast.go' 'inlining call to (*hashTable).hash'
