@@ -22,8 +22,7 @@ vet-unsafe:
 
 # cilkvet builds the repo's own analysis suite (cmd/cilkvet): five
 # analyzers over the lock-free runtime's invariants, documented in
-# docs/STATIC_ANALYSIS.md.  The binary also speaks the go vet tool
-# protocol, so CI caches it and `go vet -vettool=bin/cilkvet` works.
+# docs/STATIC_ANALYSIS.md.  CI caches the binary.
 cilkvet:
 	$(GO) build -o $(CILKVET) ./cmd/cilkvet
 
@@ -75,12 +74,13 @@ race:
 # chaos runs the fault-injection sweep under the race detector: every
 # compiled-in failpoint × CHAOS_SEEDS seeded schedules × both engines, the
 # failure-containment regression tests (reduce-panic resource conservation,
-# context-cancellation settlement), and the Close-vs-Run race.  Widen with
-# CHAOS_SEEDS=n.
+# context-cancellation settlement), the Close-vs-Run race, and Run jobs
+# sharing a service's queue (never overloaded, drained by Service.Close).
+# Widen with CHAOS_SEEDS=n.
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 \
 		-run 'TestChaosSweep$$|TestReducePanicConservesResources|TestRunContextCancelSettles' .
-	$(GO) test -race -count=1 -run 'TestCloseRacingRun' ./internal/sched/
+	$(GO) test -race -count=1 -run 'TestCloseRacingRun|TestRunSharesServiceQueue' ./internal/sched/
 
 # chaos-service runs the multi-tenant sweep under the race detector: N
 # concurrent submitters × the service failpoints (admission, dispatch,

@@ -7,9 +7,8 @@
 // the framework is reproduced here from the standard library alone: the
 // Analyzer/Pass/Diagnostic shapes mirror go/analysis closely enough that
 // the analyzers can be ported onto the real framework by changing one
-// import, while the drivers (package load for whole-module runs, the
-// unitchecker shim in cmd/cilkvet for `go vet -vettool`) replace
-// go/packages and x/tools' unitchecker.
+// import, while the driver (package load for whole-module runs) replaces
+// go/packages.
 //
 // Two deliberate deviations from go/analysis:
 //

@@ -324,8 +324,7 @@ func (s *Session) RunErr(fn func(*sched.Context)) error {
 func (s *Session) RunContext(ctx context.Context, fn func(*sched.Context)) error {
 	d, err := s.rt.RunContext(ctx, fn)
 	if err != nil {
-		s.eng.Discard(nil, d)
-		return err
+		return err // the runtime already discarded the job's deposit
 	}
 	s.eng.MergeRootDeposit(d)
 	return nil

@@ -46,7 +46,7 @@ func (c *Context) Fork(left, right func(*Context)) {
 	w.pushTask(t)
 
 	// If left (or anything it calls) panics, there is no cleanup here:
-	// the panic unwinds to runRoot/runTask, whose abortScope settles this
+	// the panic unwinds to runServiceJob/runTask, whose abortScope settles this
 	// task along with everything else the failed scope pushed.
 
 	left(c)

@@ -18,7 +18,7 @@ func TestContextAccessorsMirrorWorker(t *testing.T) {
 			t.Errorf("ViewEpoch = %d, want %d", got, want)
 		}
 	}
-	if err := rt.RunAndMerge(func(c *Context) {
+	if _, err := rt.Run(func(c *Context) {
 		check(c)
 		c.Fork(check, check)
 
@@ -32,6 +32,6 @@ func TestContextAccessorsMirrorWorker(t *testing.T) {
 			t.Errorf("ViewEpoch after publication = %d, want %d", got, before+2)
 		}
 	}); err != nil {
-		t.Fatalf("RunAndMerge: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 }

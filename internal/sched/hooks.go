@@ -52,8 +52,8 @@ type ReducerRuntime interface {
 	// holds (pagepool pages, arena view blocks) so that an aborted job
 	// leaves the engine quiescent and reusable.  w is the worker
 	// performing the abort; it is nil when the discard happens on a
-	// non-worker goroutine (the Run caller's), in which case the
-	// implementation must not touch owner-only per-worker state.  A nil
+	// non-worker goroutine, in which case the implementation must not
+	// touch owner-only per-worker state.  A nil
 	// or already-consumed deposit must be a no-op, so double discards
 	// along overlapping failure paths are safe.
 	Discard(w *Worker, d Deposit)

@@ -14,7 +14,7 @@ func TestForkMergeTasksRunsAll(t *testing.T) {
 		rt := New(Config{Workers: workers})
 		err := func() error {
 			defer rt.Close()
-			return rt.RunAndMerge(func(c *Context) {
+			_, err := rt.Run(func(c *Context) {
 				w := c.Worker()
 				for round := 0; round < 50; round++ {
 					const n = 9
@@ -35,6 +35,7 @@ func TestForkMergeTasksRunsAll(t *testing.T) {
 					}
 				}
 			})
+			return err
 		}()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -46,7 +47,7 @@ func TestForkMergeTasksRunsAll(t *testing.T) {
 func TestForkMergeTasksEmptyAndSingle(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer rt.Close()
-	err := rt.RunAndMerge(func(c *Context) {
+	_, err := rt.Run(func(c *Context) {
 		w := c.Worker()
 		w.ForkMergeTasks(nil)
 		ran := false
@@ -82,7 +83,7 @@ func TestForkMergeTasksPanicPropagates(t *testing.T) {
 				panicked, _ = pe.Value.(string)
 			}
 		}()
-		_ = rt.RunAndMerge(func(c *Context) {
+		_, _ = rt.Run(func(c *Context) {
 			c.Worker().ForkMergeTasks([]func(){
 				func() {},
 				func() { panic("boom") },
@@ -94,7 +95,7 @@ func TestForkMergeTasksPanicPropagates(t *testing.T) {
 	}
 	// The pool must still be usable.
 	n := 0
-	if err := rt.RunAndMerge(func(c *Context) { n = 1 }); err != nil || n != 1 {
+	if _, err := rt.Run(func(c *Context) { n = 1 }); err != nil || n != 1 {
 		t.Fatalf("runtime unusable after merge-task panic: n=%d err=%v", n, err)
 	}
 }

@@ -20,7 +20,7 @@ func (rt *Runtime) SampleMetrics(emit func(metrics.MetricSample)) {
 	counter("cilkm_sched_helped_tasks_total", "Tasks executed while waiting at a join.", s.HelpedTasks)
 	counter("cilkm_sched_tasks_executed_total", "Stolen or injected tasks executed.", s.TasksExecuted)
 	counter("cilkm_sched_merge_tasks_total", "Runtime-internal merge tasks run by thieves.", s.MergeTasks)
-	counter("cilkm_sched_root_tasks_total", "Run invocations.", s.RootTasks)
+	counter("cilkm_sched_root_tasks_total", "Root jobs dispatched to a worker (Run and Service.Submit).", s.RootTasks)
 	counter("cilkm_sched_parallel_for_splits_total", "Splits performed by ParallelFor.", s.ParallelForSpl)
 	counter("cilkm_sched_worker_parks_total", "Worker park transitions (a registration that backs out at the recheck is not counted).", rt.parks.Load())
 	counter("cilkm_sched_worker_unparks_total", "Worker unpark transitions.", rt.unparks.Load())

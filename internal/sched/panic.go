@@ -18,8 +18,8 @@ import (
 // ONCE in a *PanicError capturing the panicking goroutine's stack.  From
 // there it propagates by value: joins re-raise the wrapper itself (never a
 // formatted string), so the value the caller finally observes — as a panic
-// from Run, or as an error from RunErr/RunContext — still contains the
-// original payload.  errors.Is/As reach through PanicError into error-typed
+// from Run, or as an error from RunContext or JobHandle.Wait — still
+// contains the original payload.  errors.Is/As reach through PanicError into error-typed
 // payloads, so a typed fault injected five layers down is still matchable
 // at the job boundary.
 
@@ -66,7 +66,7 @@ func wrapPanic(p any) any {
 
 // job is the per-submission state shared by every task a Run spawns: the
 // cancellation flag checkpoints poll, and a progress counter the service
-// watchdog samples.  A nil *job (legacy Run) never cancels.
+// watchdog samples.  A nil *job (no root job) never cancels.
 type job struct {
 	cancelled atomic.Bool
 	// progress counts scheduler-visible progress events for this job:

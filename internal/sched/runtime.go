@@ -21,10 +21,12 @@ type Config struct {
 	// Reducers is the reducer mechanism to notify about steals, view
 	// transferal and merges.  Nil disables reducer support.
 	Reducers ReducerRuntime
-	// StealAttemptsBeforePark bounds how many full victim sweeps a worker
-	// performs before parking.  Zero selects a default.
-	StealAttemptsBeforePark int
 }
+
+// parkAfterSweeps is how many empty victim sweeps an idle worker performs
+// before parking; a service with AdaptiveParking raises the threshold to 8×
+// while it has jobs in flight and drops it to 1 when idle.
+const parkAfterSweeps = 4
 
 // Stats aggregates scheduler counters across workers.
 type Stats struct {
@@ -35,7 +37,7 @@ type Stats struct {
 	HelpedTasks    int64 // tasks executed while waiting at a join
 	TasksExecuted  int64 // stolen or injected tasks executed
 	MergeTasks     int64 // runtime-internal merge tasks run by thieves
-	RootTasks      int64 // Run invocations
+	RootTasks      int64 // root jobs dispatched (Run and Service.Submit)
 	MaxDequeDepth  int64 // high-water mark of any deque
 	ParallelForSpl int64 // splits performed by ParallelFor
 }
@@ -46,23 +48,35 @@ type Runtime struct {
 	workers  []*Worker
 	reducers ReducerRuntime
 
-	inbox    chan *rootTask
 	quit     chan struct{}
+	stopOnce sync.Once
 	wake     chan struct{}
 	parked   atomic.Int32
 	started  sync.WaitGroup
 	stopped  sync.WaitGroup
-	closed   atomic.Bool
-	inflight atomic.Int64
 
-	// service is the resident service attached by NewService, nil for a
-	// plain batch runtime.  Idle workers poll its admission queue after an
-	// empty steal sweep, so job dispatch rides the existing scheduling loop
+	// The job queue and accounting shared by Run and Service.Submit (see
+	// job.go), guarded by mu.  Idle workers poll the queue after an empty
+	// steal sweep, so job dispatch rides the existing scheduling loop
 	// instead of a dedicated dispatcher goroutine.
+	mu        sync.Mutex
+	cond      *sync.Cond // signalled on every pop, eviction and settle
+	queue     jobQueue
+	heapDead  int // evicted entries still in the heap
+	seq       uint64
+	running   map[*JobHandle]struct{}
+	unsettled int  // admitted jobs not yet settled or evicted
+	closed    bool // admission stopped by Close
+	// queuedLive mirrors the number of live (non-evicted) queued jobs so
+	// the workers' pop fast path and pre-park recheck stay lock-free.
+	queuedLive atomic.Int64
+
+	// service is the resident service attached by NewService (at most
+	// one), nil for a plain batch runtime.
 	service atomic.Pointer[Service]
 
 	// spin is the adaptive park threshold: how many empty sweeps a worker
-	// tolerates before parking.  It starts at StealAttemptsBeforePark; a
+	// tolerates before parking.  It starts at parkAfterSweeps; a
 	// service with AdaptiveParking steers it with the live load (hot while
 	// jobs are in flight, 1 when idle so an embedding server gets its CPUs
 	// back).
@@ -74,16 +88,8 @@ type Runtime struct {
 	unparks atomic.Int64
 
 	stats struct {
-		rootTasks atomic.Int64
+		rootJobs atomic.Int64
 	}
-}
-
-// rootTask carries one Run invocation into the worker pool.
-type rootTask struct {
-	fn   func(*Context)
-	job  *job // cancellation token; nil for plain Run
-	done chan Deposit
-	err  chan any // contained panic value (*PanicError or cancellation token)
 }
 
 // ErrClosed is returned by Run after Close has been called.
@@ -97,9 +103,6 @@ func New(cfg Config) *Runtime {
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x9E3779B97F4A7C15
 	}
-	if cfg.StealAttemptsBeforePark <= 0 {
-		cfg.StealAttemptsBeforePark = 4
-	}
 	red := cfg.Reducers
 	if red == nil {
 		red = nopReducerRuntime{}
@@ -107,11 +110,12 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:      cfg,
 		reducers: red,
-		inbox:    make(chan *rootTask),
 		quit:     make(chan struct{}),
 		wake:     make(chan struct{}, cfg.Workers),
+		running:  make(map[*JobHandle]struct{}),
 	}
-	rt.spin.Store(int32(cfg.StealAttemptsBeforePark))
+	rt.cond = sync.NewCond(&rt.mu)
+	rt.spin.Store(parkAfterSweeps)
 	rt.workers = make([]*Worker, cfg.Workers)
 	for i := range rt.workers {
 		rt.workers[i] = newWorker(rt, i, cfg.Seed+uint64(i)*0x9E3779B97F4A7C15+1)
@@ -146,55 +150,27 @@ func (rt *Runtime) Reducers() ReducerRuntime {
 // it forked — has completed.  It returns the Deposit produced by the root
 // trace's view transferal, which the reducer mechanism uses to fold the
 // computation's views into the reducers' leftmost (user-visible) views.
+// A panic anywhere in the job is re-raised on the caller as the contained
+// *PanicError, once the job has settled.
 //
-// Run may be called repeatedly, but calls are serialised by the caller's
-// own structure; concurrent Run calls execute concurrently on the same pool
-// and are independent of each other.
+// Concurrent Run calls execute concurrently on the same pool and are
+// independent of each other.  Run after Close returns ErrClosed.
 func (rt *Runtime) Run(fn func(*Context)) (Deposit, error) {
-	if rt.closed.Load() {
-		return nil, ErrClosed
+	d, err := rt.RunContext(context.Background(), fn)
+	if pe, ok := err.(*PanicError); ok {
+		// Re-raising the wrapper itself keeps the caller's recover() able
+		// to inspect the typed payload (via PanicError.Value) and the
+		// captured stack.  Every branch of the job has been settled and its
+		// views discarded, so the engine is reusable if the caller recovers.
+		panic(pe)
 	}
-	rt.stats.rootTasks.Add(1)
-	root := &rootTask{
-		fn:   fn,
-		done: make(chan Deposit, 1),
-		err:  make(chan any, 1),
-	}
-	select {
-	case rt.inbox <- root:
-	case <-rt.quit:
-		return nil, ErrClosed
-	}
-	rt.inflight.Add(1)
-	defer rt.inflight.Add(-1)
-	rt.signalWork()
-	select {
-	case d := <-root.done:
-		return d, nil
-	case p := <-root.err:
-		// p is the contained *PanicError wrapped at the recovery point
-		// nearest the original panic: re-raising the value itself keeps
-		// the caller's recover() able to inspect the typed payload (via
-		// PanicError.Value) and the captured stack.  By the time it is
-		// delivered every branch of the job has been settled and its views
-		// discarded, so the engine is reusable even if the caller recovers.
-		panic(p)
-	}
+	return d, err
 }
 
-// RunErr is Run with the panic contained at the job boundary: a panic
-// anywhere in the job — any branch, any worker, the merge pipeline — is
-// returned as a *PanicError carrying the original panic value and the
-// panicking goroutine's stack, instead of re-panicking on the caller's
-// goroutine.  The failed job is fully settled before RunErr returns: every
-// branch it forked has completed or been reclaimed and every undeposited
-// view has been discarded, so the runtime (and the reducer engine behind
-// it) is immediately reusable.
-func (rt *Runtime) RunErr(fn func(*Context)) (Deposit, error) {
-	return rt.RunContext(context.Background(), fn)
-}
-
-// RunContext is RunErr with cooperative cancellation.  When ctx is
+// RunContext is Run with the panic contained at the job boundary and with
+// cooperative cancellation.  A panic anywhere in the job — any branch, any
+// worker, the merge pipeline — is returned as a *PanicError carrying the
+// original panic value and the panicking goroutine's stack.  When ctx is
 // cancelled the job is asked to stop: every fork checkpoint (Fork, ForkN,
 // ParallelFor splits, Group.Spawn) and every not-yet-started stolen branch
 // observes the token and unwinds, already-running serial sections run to
@@ -202,80 +178,52 @@ func (rt *Runtime) RunErr(fn func(*Context)) (Deposit, error) {
 // waits for the job to fully settle before returning ctx.Err() — it never
 // abandons a running job, so a cancelled runtime is quiescent, not leaking.
 // A job that completes in the same instant its context is cancelled has its
-// result discarded and still reports ctx.Err().
+// root deposit discarded and still reports ctx.Err().
+//
+// The job travels the runtime's one job path: it is queued unbounded next
+// to any service's submissions, run by an idle worker, and settled through
+// its JobHandle, whose merge step hands the root deposit back here.
 func (rt *Runtime) RunContext(ctx context.Context, fn func(*Context)) (Deposit, error) {
-	if rt.closed.Load() {
-		return nil, ErrClosed
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rt.stats.rootTasks.Add(1)
-	root := &rootTask{
-		fn:   fn,
-		job:  &job{},
-		done: make(chan Deposit, 1),
-		err:  make(chan any, 1),
-	}
-	select {
-	case rt.inbox <- root:
-	case <-rt.quit:
+	var d Deposit
+	h, _ := newJobHandle(ctx, rt, nil, JobSpec{Fn: fn})
+	h.merge = func(root Deposit) { d = root }
+	rt.mu.Lock()
+	if rt.closed {
+		rt.mu.Unlock()
+		h.abandonPreQueue(ErrClosed)
 		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
-	rt.inflight.Add(1)
-	defer rt.inflight.Add(-1)
-	rt.signalWork()
-	select {
-	case d := <-root.done:
-		return d, nil
-	case p := <-root.err:
-		return nil, containedError(p, nil)
-	case <-ctx.Done():
-		// Request cancellation, then keep waiting: the job must fully
-		// settle (every branch joined or reclaimed, every deposit
-		// discarded) before the pool is reusable.
-		root.job.cancelled.Store(true)
-		cerr := ctx.Err()
-		select {
-		case d := <-root.done:
-			// The job outran its cancellation.  Honour the context
-			// contract — no result after Done — and hand the root deposit
-			// back to the mechanism so nothing leaks.
-			rt.reducers.Discard(nil, d)
-			return nil, cerr
-		case p := <-root.err:
-			return nil, containedError(p, cerr)
-		}
+	queued := rt.enqueueLocked(h)
+	rt.mu.Unlock()
+	if !queued {
+		// Cancelled while being admitted: the job never ran.
+		<-h.done
+		return nil, h.err
 	}
+	rt.signalWork() // publish-then-signal, as in Service.Submit
+	<-h.done
+	<-h.settled // a cancelled job completes before it settles
+	if h.err != nil {
+		return nil, h.err
+	}
+	return d, nil
 }
 
-// containedError translates a value delivered on rootTask.err into the
-// error RunErr/RunContext return: the cancellation token becomes the
-// context's error, anything else is the already-wrapped *PanicError.
-func containedError(p any, cancelErr error) error {
-	if p == errJobCancelled {
-		if cancelErr != nil {
-			return cancelErr
-		}
-		return context.Canceled
-	}
-	if pe, ok := p.(*PanicError); ok {
-		return pe
-	}
-	return &PanicError{Value: p}
-}
-
-// Quiescent reports whether the scheduler holds no trace of any job: no
-// Run/RunErr/RunContext call is in flight and every worker's deque is
-// empty.  A panicked or cancelled job must leave the runtime quiescent by
-// the time its Run variant returns; chaos tests assert this between jobs.
+// Quiescent reports whether the scheduler holds no trace of any job: every
+// admitted job has settled and every worker's deque is empty.  A panicked
+// or cancelled job must leave the runtime quiescent by the time its Run or
+// RunContext call returns; chaos tests assert this between jobs.
 func (rt *Runtime) Quiescent() error {
-	if n := rt.inflight.Load(); n != 0 {
+	rt.mu.Lock()
+	n := rt.unsettled
+	rt.mu.Unlock()
+	if n != 0 {
 		return fmt.Errorf("sched: %d jobs still in flight", n)
 	}
 	for _, w := range rt.workers {
@@ -286,27 +234,27 @@ func (rt *Runtime) Quiescent() error {
 	return nil
 }
 
-// RunAndMerge executes fn and asks the reducer mechanism to merge the root
-// deposit into its leftmost views.  Most callers use this rather than Run.
-func (rt *Runtime) RunAndMerge(fn func(*Context)) error {
-	_, err := rt.Run(fn)
-	return err
-}
-
-// Close shuts the workers down and waits for them to exit.  Outstanding Run
-// calls must have completed.
+// Close is the runtime's drain: it stops admission (every later Run,
+// RunContext or Service.Submit returns ErrClosed), waits until every job
+// already admitted — from Run or Submit — has settled, then stops the
+// workers and waits for them to exit.  Close is idempotent and safe to call
+// concurrently with Run; it must not be called from inside a job.
 func (rt *Runtime) Close() {
-	if rt.closed.Swap(true) {
-		return
+	rt.mu.Lock()
+	rt.closed = true
+	rt.cond.Broadcast()
+	for rt.unsettled > 0 {
+		rt.cond.Wait()
 	}
-	close(rt.quit)
+	rt.mu.Unlock()
+	rt.stopOnce.Do(func() { close(rt.quit) })
 	rt.stopped.Wait()
 }
 
 // Stats aggregates counters across workers.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
-	s.RootTasks = rt.stats.rootTasks.Load()
+	s.RootTasks = rt.stats.rootJobs.Load()
 	for _, w := range rt.workers {
 		s.Forks += w.nForks.Load()
 		s.Steals += w.nSteals.Load()
@@ -325,7 +273,7 @@ func (rt *Runtime) Stats() Stats {
 
 // ResetStats zeroes all per-worker counters.
 func (rt *Runtime) ResetStats() {
-	rt.stats.rootTasks.Store(0)
+	rt.stats.rootJobs.Store(0)
 	for _, w := range rt.workers {
 		w.nForks.Store(0)
 		w.nSteals.Store(0)
@@ -340,7 +288,7 @@ func (rt *Runtime) ResetStats() {
 }
 
 // signalWork wakes one parked worker, if any.  Callers publish their work
-// (the deque push, the inbox send) before calling it; a parker registers in
+// (the deque push, the job enqueue) before calling it; a parker registers in
 // rt.parked before re-checking for work.  Under sequentially-consistent
 // atomics one side always observes the other, so no wakeup is lost and
 // workers never need a timed poll.
@@ -366,25 +314,6 @@ func (rt *Runtime) setSpinAttempts(n int32) {
 
 // spinAttempts returns the current park threshold.
 func (rt *Runtime) spinAttempts() int { return int(rt.spin.Load()) }
-
-// takeServiceRoot polls the attached service's admission queue for the next
-// runnable job.  The no-service and empty-queue fast paths are one atomic
-// load each, so a batch runtime pays nothing for the serving machinery.
-func (rt *Runtime) takeServiceRoot() *JobHandle {
-	s := rt.service.Load()
-	if s == nil {
-		return nil
-	}
-	return s.pop()
-}
-
-// serviceReady reports whether the attached service has a queued job;
-// parking workers include it in their registered recheck so a Submit racing
-// a park is never lost.
-func (rt *Runtime) serviceReady() bool {
-	s := rt.service.Load()
-	return s != nil && s.ready()
-}
 
 // workAvailable reports whether any worker other than except holds a
 // stealable task.  Parking workers call it after registering in rt.parked

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -14,16 +13,15 @@ import (
 )
 
 // This file turns the batch fork-join runtime into a resident multi-tenant
-// service.  A Service wraps a Runtime with the serving machinery the
-// one-job-at-a-time Run API lacks: a bounded admission queue with a
-// configurable overload policy, per-job priorities and deadlines enforced at
-// the existing fork/steal/merge cancellation checkpoints, a watchdog that
-// cancels jobs whose steal/merge progress stops, adaptive worker parking
-// driven by the live load, and a graceful drain on Close that stops
-// admission, settles every in-flight job by policy, and verifies pool-wide
-// quiescence.  Jobs are dispatched by the pool's own workers: an idle worker
-// polls the admission queue after its steal sweep, so dispatch needs no
-// extra goroutine and scales with idle capacity.
+// service.  Every job, Run or Submit, already travels the runtime's one
+// job path (job.go): a priority queue drained by idle workers, settlement
+// through a JobHandle, and Runtime.Close as the drain.  A Service adds the
+// admission policy on top: a bound on its queued jobs with a configurable
+// overload policy, per-job deadlines enforced at the existing
+// fork/steal/merge cancellation checkpoints, a watchdog that cancels jobs
+// whose steal/merge progress stops, adaptive worker parking driven by the
+// live load, and a Close that applies the drain policy and verifies
+// pool-wide quiescence.
 
 // AdmitPolicy selects what Submit does when the admission queue is full.
 type AdmitPolicy uint8
@@ -171,279 +169,9 @@ type JobSpec struct {
 	OnSettle func()
 }
 
-// Job handle states.
-const (
-	jobStateNew int32 = iota
-	jobStateQueued
-	jobStateRunning
-	jobStateSettled
-	jobStateEvicted // cancelled or shed before a worker took it
-)
-
-// JobHandle tracks one submitted job.  The submitter keeps it to wait for
-// (or cancel) the job; the service and the finishing worker complete it.
-//
-// Completion and settlement are distinct: the handle completes when its
-// outcome is decided (result merged, or a cancellation/deadline/stall
-// delivered), which is when Wait unblocks; a cancelled job settles slightly
-// later, once every branch it spawned has unwound and its views are
-// discarded.  Drain and quiescence wait for settlement, so a Close after
-// Wait never races a job's teardown.
-type JobHandle struct {
-	svc      *Service
-	fn       func(*Context)
-	job      *job
-	priority int
-	seq      uint64
-
-	// state is the queue-lifecycle state (jobState*), advanced by CAS so
-	// the dispatch/cancel race has exactly one winner.
-	state atomic.Int32
-	// completed is the once-only completion claim: whoever wins the CAS
-	// delivers the outcome.
-	completed atomic.Bool
-	// cause records the first cancellation cause (deadline, caller cancel,
-	// stall, shed, close) for the settle path to report.
-	cause atomic.Pointer[causeBox]
-
-	// err is written exactly once before done is closed; read it only
-	// after Done is closed (Wait and Err do this).
-	err  error
-	done chan struct{}
-
-	// ctxCancel releases the Timeout-derived context; stopWatch detaches
-	// the context watcher.  Both are set before the handle is published to
-	// the queue and called once at completion.
-	ctxCancel context.CancelFunc
-	stopWatch func() bool
-	onDone    func(error)
-	onSettle  func()
-	// settleOnce guards onSettle: cancellation racing dispatch means two
-	// paths can each believe they retired the job.
-	settleOnce atomic.Bool
-
-	// stall holds the watchdog's all-goroutine stack dump when the job was
-	// cancelled for stalling; written before the handle completes.
-	stall []byte
-
-	// lastProgress and lastActive are watchdog-goroutine-only bookkeeping.
-	lastProgress uint64
-	lastActive   time.Time
-}
-
-type causeBox struct{ err error }
-
-// Done returns a channel closed when the job's outcome is decided.
-func (h *JobHandle) Done() <-chan struct{} { return h.done }
-
-// Wait blocks until the job completes and returns its error: nil on
-// success, ErrOverloaded if shed, context.DeadlineExceeded on a missed
-// deadline, the submission context's error on caller cancellation, a
-// *StallError on watchdog cancellation, ErrClosed when the service was
-// closed under DrainCancel before the job ran, or a *PanicError when the
-// job's code panicked.
-func (h *JobHandle) Wait() error {
-	<-h.done
-	return h.err
-}
-
-// Err returns the job's outcome error once Done is closed, and nil before.
-func (h *JobHandle) Err() error {
-	select {
-	case <-h.done:
-		return h.err
-	default:
-		return nil
-	}
-}
-
-// Cancel asks the job to stop: a queued job completes immediately with
-// context.Canceled and never runs; a running job is cancelled at its next
-// fork/steal/merge checkpoint.  Cancel after completion is a no-op.
-func (h *JobHandle) Cancel() { h.cancel(context.Canceled) }
-
-// StallDump returns the all-goroutine stack capture taken by the watchdog
-// when it cancelled this job, or nil if the job was not stall-cancelled.
-// Valid once Done is closed.
-func (h *JobHandle) StallDump() []byte {
-	select {
-	case <-h.done:
-		return h.stall
-	default:
-		return nil
-	}
-}
-
-// storeCause records the first cancellation cause; later causes lose.
-func (h *JobHandle) storeCause(err error) {
-	h.cause.CompareAndSwap(nil, &causeBox{err: err})
-}
-
-// causeErr returns the recorded cancellation cause, or nil.
-func (h *JobHandle) causeErr() error {
-	if b := h.cause.Load(); b != nil {
-		return b.err
-	}
-	return nil
-}
-
-// claimCompletion reserves the right to deliver the handle's outcome.
-func (h *JobHandle) claimCompletion() bool {
-	return h.completed.CompareAndSwap(false, true)
-}
-
-// deliver publishes the outcome and unblocks Wait.  It must be called
-// exactly once, by the claimCompletion winner.
-func (h *JobHandle) deliver(err error) {
-	h.err = err
-	if h.ctxCancel != nil {
-		h.ctxCancel()
-	}
-	if h.stopWatch != nil {
-		h.stopWatch()
-	}
-	if h.onDone != nil {
-		func() {
-			defer func() { _ = recover() }()
-			h.onDone(err)
-		}()
-	}
-	close(h.done)
-}
-
-// runOnSettle fires the settlement hook exactly once.  It must be called
-// only from a path that proves no strand of the job can run again: the
-// worker's settle (dispatched jobs) or an eviction that won the state CAS
-// against dispatch (never-dispatched jobs).
-func (h *JobHandle) runOnSettle() {
-	if h.onSettle == nil || !h.settleOnce.CompareAndSwap(false, true) {
-		return
-	}
-	func() {
-		defer func() { _ = recover() }()
-		h.onSettle()
-	}()
-}
-
-// cancel is the single entry point for every asynchronous cancellation:
-// caller Cancel, context expiry (deadline or cancellation), watchdog stall,
-// shed, and drain.  Exactly one of three things happens: the job is evicted
-// from the queue before ever running, the running job's handle completes
-// early (the job unwinds and settles in the background), or — if the
-// outcome was already delivered — nothing.
-func (h *JobHandle) cancel(cause error) {
-	h.storeCause(cause)
-	if faultinject.Enabled() {
-		faultinject.Perturb(faultinject.ServiceDeadline)
-	}
-	if h.state.CompareAndSwap(jobStateNew, jobStateEvicted) {
-		// Cancelled while Submit was still admitting: Submit observes the
-		// eviction and never queues the job.
-		h.job.cancelled.Store(true)
-		if h.claimCompletion() {
-			h.svc.countCancel(cause)
-			h.deliver(cause)
-		}
-		h.runOnSettle() // never dispatched, so eviction is settlement
-		return
-	}
-	if h.state.CompareAndSwap(jobStateQueued, jobStateEvicted) {
-		// Evicted from the queue: the job never ran.  The heap entry is
-		// dropped lazily at the next pop.
-		h.job.cancelled.Store(true)
-		if h.claimCompletion() {
-			h.svc.countCancel(cause)
-			h.deliver(cause)
-		}
-		h.runOnSettle() // won the CAS against dispatch: the job never runs
-		h.svc.queuedEvicted(h)
-		return
-	}
-	// Running (or settling): ask the checkpoints to unwind and complete the
-	// handle early so the submitter is unblocked now; the worker discards
-	// the deposit when the job settles.
-	h.job.cancelled.Store(true)
-	if h.claimCompletion() {
-		h.svc.countCancel(cause)
-		h.deliver(cause)
-	}
-}
-
-// settleFromWorker is called by the worker that finished executing the job
-// root (normally, by panic, or by cancellation unwind).  It delivers the
-// outcome if no cancellation got there first, settles the deposit (merge on
-// success, discard otherwise), and retires the job from the service's
-// in-flight accounting.
-func (h *JobHandle) settleFromWorker(w *Worker, d Deposit, p any) {
-	rt := w.rt
-	if p != nil {
-		// Failed or cancelled: the abort path already discarded the trace's
-		// views; d is nil.  Every strand has unwound (the root's joins
-		// resolved before the worker returned), so settle-time teardown can
-		// run before the outcome is published.
-		err := containedError(p, h.causeErr())
-		h.runOnSettle()
-		if h.claimCompletion() {
-			h.deliver(err)
-		}
-	} else if h.claimCompletion() {
-		// Success, and no cancellation raced ahead: fold the root deposit
-		// into the leftmost views before the outcome is visible, so a
-		// submitter that observes Done reads fully merged reducer values.
-		var mergeErr error
-		func() {
-			defer func() {
-				if mp := recover(); mp != nil {
-					mergeErr = containedError(wrapPanic(mp), nil)
-				}
-			}()
-			if h.svc.cfg.RootMerge != nil {
-				h.svc.cfg.RootMerge(d)
-			} else {
-				rt.reducers.Discard(w, d)
-			}
-		}()
-		// Merge before settle (teardown may unregister the job's reducers),
-		// settle before deliver (a submitter returning from Wait observes
-		// the job fully retired).
-		h.runOnSettle()
-		h.deliver(mergeErr)
-	} else {
-		// A cancellation outran the finish (the RunContext "outran its
-		// cancellation" contract): no result after Done, so the deposit is
-		// handed back to the mechanism instead of merged.
-		rt.reducers.Discard(w, d)
-		h.runOnSettle()
-	}
-	h.state.Store(jobStateSettled)
-	h.svc.jobSettled(h)
-}
-
-// jobQueue is the priority heap behind the admission queue: higher Priority
-// first, FIFO within a priority (by admission sequence).  Evicted entries
-// stay in the heap and are skipped at pop.
-type jobQueue []*JobHandle
-
-func (q jobQueue) Len() int { return len(q) }
-func (q jobQueue) Less(i, j int) bool {
-	if q[i].priority != q[j].priority {
-		return q[i].priority > q[j].priority
-	}
-	return q[i].seq < q[j].seq
-}
-func (q jobQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *jobQueue) Push(x any)   { *q = append(*q, x.(*JobHandle)) }
-func (q *jobQueue) Pop() any {
-	old := *q
-	n := len(old)
-	h := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return h
-}
-func (q jobQueue) peekDead(i int) bool { return q[i].state.Load() != jobStateQueued }
-
-// ServiceStats is a point-in-time snapshot of the service counters.
+// ServiceStats is a point-in-time snapshot of the service counters.  They
+// count this service's Submit jobs only; Run calls sharing the pool are not
+// included.
 type ServiceStats struct {
 	Admitted        int64 // jobs accepted into the queue
 	Rejected        int64 // submissions failed with ErrOverloaded (AdmitReject)
@@ -463,21 +191,13 @@ type Service struct {
 	rt  *Runtime
 	cfg ServiceConfig
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	queue     jobQueue
-	heapDead  int // evicted entries still in the heap
-	seq       uint64
-	running   map[*JobHandle]struct{}
-	unsettled int // admitted jobs not yet settled or evicted
-	closed    bool
+	closeOnce sync.Once
 	closeErr  error
-	closeDone chan struct{}
-	closing   bool
 
-	// queuedLive mirrors the number of live (non-evicted) queued jobs so
-	// the workers' pre-park recheck and the pop fast path stay lock-free.
-	queuedLive atomic.Int64
+	// queued counts this service's live queued jobs (the admission bound
+	// and QueueDepth); runningCnt its dispatched, unsettled ones.  The
+	// runtime's job accounting (job.go) maintains both.
+	queued     atomic.Int64
 	runningCnt atomic.Int64
 
 	stopWatchdog chan struct{}
@@ -492,8 +212,11 @@ type Service struct {
 
 // NewService attaches a resident service to the runtime.  At most one
 // service may be attached to a runtime; a second NewService panics.  The
-// runtime's plain Run/RunErr/RunContext API remains usable alongside the
-// service (legacy callers share the same pool).
+// service adds admission policy on top of the runtime's own job queue —
+// the bound, the overload policy, deadlines, the watchdog and the drain
+// policy — so the runtime's Run and RunContext remain usable alongside it:
+// their jobs share the queue and the pool, never count against the bound,
+// and are drained by Close like submitted jobs.
 func NewService(rt *Runtime, cfg ServiceConfig) *Service {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 4 * rt.Workers()
@@ -501,11 +224,8 @@ func NewService(rt *Runtime, cfg ServiceConfig) *Service {
 	s := &Service{
 		rt:           rt,
 		cfg:          cfg,
-		running:      make(map[*JobHandle]struct{}),
-		closeDone:    make(chan struct{}),
 		stopWatchdog: make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	if !rt.service.CompareAndSwap(nil, s) {
 		panic("sched: runtime already has a service attached")
 	}
@@ -527,7 +247,7 @@ func (s *Service) Stats() ServiceStats {
 		Settled:         s.settled.Load(),
 		DeadlineMisses:  s.deadlineMisses.Load(),
 		WatchdogCancels: s.watchdogCancels.Load(),
-		QueueDepth:      s.queuedLive.Load(),
+		QueueDepth:      s.queued.Load(),
 		Running:         s.runningCnt.Load(),
 		QueueCapacity:   int64(s.cfg.Queue),
 	}
@@ -561,31 +281,14 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 			return nil, err
 		}
 	}
-	h := &JobHandle{
-		svc:      s,
-		fn:       spec.Fn,
-		job:      &job{},
-		priority: spec.Priority,
-		done:     make(chan struct{}),
-		onDone:   spec.OnDone,
-		onSettle: spec.OnSettle,
-	}
-	// Arm the deadline and the context watcher before the handle becomes
-	// reachable by any cancellation path, so deliver never races the field
-	// stores.
-	if spec.Timeout > 0 {
-		ctx, h.ctxCancel = context.WithTimeout(ctx, spec.Timeout)
-	}
-	if ctx.Done() != nil {
-		h.stopWatch = context.AfterFunc(ctx, func() {
-			h.cancel(ctx.Err())
-		})
-	}
+	rt := s.rt
+	h, ctx := newJobHandle(ctx, rt, s, spec)
+	h.merge = s.cfg.RootMerge
 
-	s.mu.Lock()
+	rt.mu.Lock()
 	for {
-		if s.closed {
-			s.mu.Unlock()
+		if rt.closed {
+			rt.mu.Unlock()
 			h.abandonPreQueue(ErrClosed)
 			return nil, ErrClosed
 		}
@@ -595,16 +298,16 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 			// cause; report admission success so the caller reads the
 			// outcome from the handle, exactly as if eviction had won a
 			// moment after queueing.
-			s.mu.Unlock()
+			rt.mu.Unlock()
 			return h, nil
 		}
-		if int(s.queuedLive.Load()) < s.cfg.Queue {
+		if int(s.queued.Load()) < s.cfg.Queue {
 			break
 		}
 		switch s.cfg.Admit {
 		case AdmitReject:
 			s.rejected.Add(1)
-			s.mu.Unlock()
+			rt.mu.Unlock()
 			h.abandonPreQueue(ErrOverloaded)
 			return nil, ErrOverloaded
 		case AdmitShedOldest:
@@ -615,65 +318,48 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) 
 			}
 		default: // AdmitBlock
 			stop := context.AfterFunc(ctx, func() {
-				s.mu.Lock()
-				s.cond.Broadcast()
-				s.mu.Unlock()
+				rt.mu.Lock()
+				rt.cond.Broadcast()
+				rt.mu.Unlock()
 			})
-			s.cond.Wait()
+			rt.cond.Wait()
 			stop()
 			if err := ctx.Err(); err != nil {
-				if s.closed {
+				if rt.closed {
 					// Deterministic contract: a Submit that raced Close
 					// reports ErrClosed even if its context also died.
-					s.mu.Unlock()
+					rt.mu.Unlock()
 					h.abandonPreQueue(ErrClosed)
 					return nil, ErrClosed
 				}
-				s.mu.Unlock()
+				rt.mu.Unlock()
 				h.abandonPreQueue(err)
 				return nil, err
 			}
 		}
 	}
-	if !h.state.CompareAndSwap(jobStateNew, jobStateQueued) {
+	if !rt.enqueueLocked(h) {
 		// Evicted in the instant before queueing (see above).
-		s.mu.Unlock()
+		rt.mu.Unlock()
 		return h, nil
 	}
-	s.seq++
-	h.seq = s.seq
-	heap.Push(&s.queue, h)
-	s.queuedLive.Add(1)
-	s.unsettled++
-	s.admitted.Add(1)
-	s.mu.Unlock()
+	rt.mu.Unlock()
 	s.updateSpin()
 	// Publish-then-signal: the queue store above happens-before this load
 	// of rt.parked (both sides use sequentially-consistent atomics), so a
 	// worker registering as parked either sees the queued job in its
 	// recheck or is woken here — no lost wakeup.
-	s.rt.signalWork()
+	rt.signalWork()
 	return h, nil
 }
 
-// abandonPreQueue completes a handle whose submission failed before it was
-// ever queued, releasing its context resources.  The admission error is
-// reported by Submit itself; the handle just mirrors it for uniformity.
-func (h *JobHandle) abandonPreQueue(err error) {
-	h.state.Store(jobStateEvicted)
-	if h.claimCompletion() {
-		h.deliver(err)
-	}
-	h.runOnSettle()
-}
-
-// shedOldestLocked evicts the oldest queued job of the lowest priority
-// class, completing it with ErrOverloaded.  Caller holds s.mu.  Returns
-// false when no live queued job exists.
+// shedOldestLocked evicts this service's oldest queued job of the lowest
+// priority class, completing it with ErrOverloaded.  Caller holds rt.mu.
+// Returns false when no live queued job exists.
 func (s *Service) shedOldestLocked() bool {
 	var victim *JobHandle
-	for _, h := range s.queue {
-		if h.state.Load() != jobStateQueued {
+	for _, h := range s.rt.queue {
+		if h.svc != s || h.state.Load() != jobStateQueued {
 			continue
 		}
 		if victim == nil ||
@@ -695,91 +381,8 @@ func (s *Service) shedOldestLocked() bool {
 		victim.deliver(ErrOverloaded)
 	}
 	victim.runOnSettle() // never dispatched
-	s.evictAccountingLocked()
+	s.rt.evictedLocked(victim)
 	return true
-}
-
-// queuedEvicted is the accounting hook for a queued handle evicted by an
-// asynchronous cancellation (deadline, caller cancel, drain).
-func (s *Service) queuedEvicted(h *JobHandle) {
-	s.mu.Lock()
-	s.evictAccountingLocked()
-	s.mu.Unlock()
-	s.updateSpin()
-}
-
-// evictAccountingLocked adjusts the queue counters after an eviction and
-// compacts the heap when dead entries dominate, so a long-lived service
-// under heavy shedding does not pin evicted handles.  Caller holds s.mu.
-func (s *Service) evictAccountingLocked() {
-	s.queuedLive.Add(-1)
-	s.heapDead++
-	s.unsettled--
-	if s.heapDead > 32 && s.heapDead > len(s.queue)/2 {
-		live := s.queue[:0]
-		for _, h := range s.queue {
-			if h.state.Load() == jobStateQueued {
-				live = append(live, h)
-			}
-		}
-		for i := len(live); i < len(s.queue); i++ {
-			s.queue[i] = nil
-		}
-		s.queue = live
-		heap.Init(&s.queue)
-		s.heapDead = 0
-	}
-	s.cond.Broadcast()
-}
-
-// pop takes the highest-priority live queued job, transitioning it to
-// running.  Called by idle workers; the nil fast path is one atomic load.
-func (s *Service) pop() *JobHandle {
-	if s.queuedLive.Load() == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	for s.queue.Len() > 0 {
-		h := heap.Pop(&s.queue).(*JobHandle)
-		if !h.state.CompareAndSwap(jobStateQueued, jobStateRunning) {
-			// Evicted entry surfacing at the top: drop it.
-			if s.heapDead > 0 {
-				s.heapDead--
-			}
-			continue
-		}
-		s.queuedLive.Add(-1)
-		s.running[h] = struct{}{}
-		s.runningCnt.Add(1)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if faultinject.Enabled() {
-			faultinject.Perturb(faultinject.ServiceDispatch)
-		}
-		h.job.progress.Add(1) // dispatch counts as progress
-		return h
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// ready reports whether a live job is queued; parking workers use it in
-// their registered recheck.
-func (s *Service) ready() bool { return s.queuedLive.Load() > 0 }
-
-// jobSettled retires a job from the in-flight accounting once every branch
-// has unwound and its deposit is settled.
-func (s *Service) jobSettled(h *JobHandle) {
-	s.settled.Add(1)
-	s.mu.Lock()
-	if _, ok := s.running[h]; ok {
-		delete(s.running, h)
-		s.runningCnt.Add(-1)
-	}
-	s.unsettled--
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.updateSpin()
 }
 
 // countCancel classifies a delivered cancellation for the metrics.
@@ -797,8 +400,8 @@ func (s *Service) updateSpin() {
 	if !s.cfg.AdaptiveParking {
 		return
 	}
-	if s.queuedLive.Load() > 0 || s.runningCnt.Load() > 0 {
-		s.rt.setSpinAttempts(8 * int32(s.rt.cfg.StealAttemptsBeforePark))
+	if s.queued.Load() > 0 || s.runningCnt.Load() > 0 {
+		s.rt.setSpinAttempts(8 * parkAfterSweeps)
 	} else {
 		s.rt.setSpinAttempts(1)
 	}
@@ -822,15 +425,22 @@ func (s *Service) watchdog() {
 	}
 }
 
+// ownRunning snapshots this service's running jobs.
+func (s *Service) ownRunning(into []*JobHandle) []*JobHandle {
+	for h := range s.rt.running {
+		if h.svc == s {
+			into = append(into, h)
+		}
+	}
+	return into
+}
+
 // scanStalls cancels every running job whose progress counter has not moved
 // for a full watchdog window, attaching an all-goroutine stack dump.
 func (s *Service) scanStalls(now time.Time) {
-	s.mu.Lock()
-	snapshot := make([]*JobHandle, 0, len(s.running))
-	for h := range s.running {
-		snapshot = append(snapshot, h)
-	}
-	s.mu.Unlock()
+	s.rt.mu.Lock()
+	snapshot := s.ownRunning(nil)
+	s.rt.mu.Unlock()
 	for _, h := range snapshot {
 		p := h.job.progress.Load()
 		if h.lastActive.IsZero() || p != h.lastProgress {
@@ -861,36 +471,36 @@ func allStacks() []byte {
 }
 
 // Close drains and shuts the service down: admission stops first (every
-// Submit from this point deterministically returns ErrClosed, including
-// submitters blocked for queue space), in-flight jobs are finished or
-// cancelled per the drain policy, the worker pool is stopped once every job
-// has settled, and pool-wide quiescence is verified — the scheduler's own
+// Submit or Run from this point deterministically returns ErrClosed,
+// including submitters blocked for queue space), this service's in-flight
+// jobs are finished or cancelled per the drain policy, Runtime.Close waits
+// for every admitted job — Run calls included — to settle and stops the
+// pool, and pool-wide quiescence is verified — the scheduler's own
 // accounting plus the engine check configured in ServiceConfig.Quiesce.
 // The first leak found (or a non-quiescent pool) is returned as an error.
 // Close is idempotent; concurrent calls all return the first close's
 // verdict.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		<-s.closeDone
-		return s.closeErr
-	}
-	s.closing = true
-	s.closed = true
-	s.cond.Broadcast()
+	s.closeOnce.Do(s.drain)
+	return s.closeErr
+}
+
+// drain is Close's body, run once.
+func (s *Service) drain() {
+	rt := s.rt
+	rt.mu.Lock()
+	rt.closed = true
+	rt.cond.Broadcast()
 	var toCancel []*JobHandle
 	if s.cfg.Drain == DrainCancel {
-		for _, h := range s.queue {
-			if h.state.Load() == jobStateQueued {
+		for _, h := range rt.queue {
+			if h.svc == s && h.state.Load() == jobStateQueued {
 				toCancel = append(toCancel, h)
 			}
 		}
-		for h := range s.running {
-			toCancel = append(toCancel, h)
-		}
+		toCancel = s.ownRunning(toCancel)
 	}
-	s.mu.Unlock()
+	rt.mu.Unlock()
 
 	if faultinject.Enabled() {
 		faultinject.Perturb(faultinject.ServiceDrain)
@@ -899,26 +509,15 @@ func (s *Service) Close() error {
 		h.cancel(ErrClosed)
 	}
 
-	// Wait for every admitted job to settle.  Under DrainFinish the queued
-	// jobs are still being dispatched by the workers; under DrainCancel
-	// the evictions above have already retired the queued ones and the
-	// running ones unwind at their next checkpoint.
-	s.mu.Lock()
-	for s.unsettled > 0 {
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
-
+	// Under DrainFinish the queued jobs are still being dispatched by the
+	// workers; under DrainCancel the evictions above have already retired
+	// the queued ones and the running ones unwind at their next checkpoint.
+	rt.Close()
 	close(s.stopWatchdog)
-	s.rt.Close()
 
-	err := s.rt.Quiescent()
+	err := rt.Quiescent()
 	if err == nil && s.cfg.Quiesce != nil {
 		err = s.cfg.Quiesce()
 	}
-	s.mu.Lock()
 	s.closeErr = err
-	s.mu.Unlock()
-	close(s.closeDone)
-	return err
 }

@@ -590,7 +590,7 @@ func TestServiceCloseRacingSubmit(t *testing.T) {
 // TestServiceAdaptiveParking checks the spin threshold rises while jobs are
 // in flight and falls back to 1 when the service idles.
 func TestServiceAdaptiveParking(t *testing.T) {
-	rt := New(Config{Workers: 2, StealAttemptsBeforePark: 4})
+	rt := New(Config{Workers: 2})
 	s := NewService(rt, ServiceConfig{Queue: 4, AdaptiveParking: true})
 	release := make(chan struct{})
 	ran := make(chan struct{})

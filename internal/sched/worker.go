@@ -32,10 +32,10 @@ type Worker struct {
 	// or ends a stolen task (or the root task).
 	curTrace Trace
 
-	// curJob is the submission whose work the worker is currently
-	// executing; fork checkpoints poll its cancellation flag.  Owner-only,
-	// saved and restored around nested traces exactly like curTrace.  Nil
-	// while executing a plain Run (which has no cancellation).
+	// curJob is the job whose work the worker is currently executing;
+	// fork checkpoints poll its cancellation flag.  Owner-only, saved and
+	// restored around nested traces exactly like curTrace.  Nil only
+	// outside any root job.
 	curJob *job
 
 	// local is per-worker storage for the reducer mechanism.
@@ -341,14 +341,7 @@ func (w *Worker) loop() {
 			attempts = 0
 			continue
 		}
-		select {
-		case root := <-rt.inbox:
-			w.runRoot(root)
-			attempts = 0
-			continue
-		default:
-		}
-		if h := rt.takeServiceRoot(); h != nil {
+		if h := rt.pop(); h != nil {
 			w.runServiceJob(h)
 			attempts = 0
 			continue
@@ -366,7 +359,7 @@ func (w *Worker) loop() {
 			continue // chaos: delay the park decision by one extra sweep
 		}
 		rt.parked.Add(1)
-		if rt.workAvailable(w) || rt.serviceReady() {
+		if rt.workAvailable(w) || rt.queuedLive.Load() > 0 {
 			rt.parked.Add(-1)
 			continue
 		}
@@ -375,10 +368,6 @@ func (w *Worker) loop() {
 		case <-rt.quit:
 			rt.parked.Add(-1)
 			return
-		case root := <-rt.inbox:
-			rt.unparks.Add(1)
-			rt.parked.Add(-1)
-			w.runRoot(root)
 		case <-rt.wake:
 			rt.unparks.Add(1)
 			rt.parked.Add(-1)
@@ -386,49 +375,14 @@ func (w *Worker) loop() {
 	}
 }
 
-// runRoot executes one Run invocation as a fresh trace.
-func (w *Worker) runRoot(root *rootTask) {
-	w.nTasks.Add(1)
-	prev, prevJob := w.curTrace, w.curJob
-	w.curTrace = w.rt.reducers.BeginTrace(w)
-	w.curJob = root.job
-	mark := len(w.liveForks)
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				// Wrap here, at the recovery point nearest the panic, so
-				// the value reported to the Run caller carries the original
-				// payload and the panicking goroutine's stack.  Then settle
-				// everything the failed root pushed and leave the trace in
-				// a defined (empty) state, discarding the views of the
-				// aborted job.
-				p = wrapPanic(p)
-				w.abortScope(mark)
-				w.endTraceAbort()
-				w.curTrace = prev
-				w.curJob = prevJob
-				w.flushCounters()
-				root.err <- p
-			}
-		}()
-		ctx := &Context{w: w, wid: int32(w.id)}
-		root.fn(ctx)
-		w.liveForks = w.liveForks[:min(mark, len(w.liveForks))]
-		d := w.rt.reducers.EndTrace(w, w.curTrace)
-		w.curTrace = prev
-		w.curJob = prevJob
-		w.flushCounters()
-		root.done <- d
-	}()
-}
-
-// runServiceJob executes one admitted service job as a fresh root trace —
-// exactly runRoot's shape, but the outcome is delivered through the job's
-// handle (completion claim + settle) instead of the rootTask channels, so a
-// deadline or watchdog cancellation that already completed the handle just
-// sees its deposit discarded here.
+// runServiceJob executes one admitted root job — a Run call or a service
+// submission — as a fresh root trace, and settles it through its handle
+// (completion claim + settle), so a deadline or watchdog cancellation that
+// already completed the handle just sees its deposit discarded here.  It
+// is the only place a root job runs.
 func (w *Worker) runServiceJob(h *JobHandle) {
 	w.nTasks.Add(1)
+	w.rt.stats.rootJobs.Add(1)
 	if h.job.cancelled.Load() {
 		// Cancelled between dispatch and execution: never begin the trace.
 		h.settleFromWorker(w, nil, errJobCancelled)
@@ -653,7 +607,7 @@ func (w *Worker) waitJoin(j *join) {
 			// completed too, the loop exits without a steal sweep, so pass
 			// the token on rather than swallow it; a spurious extra wake
 			// just re-parks.
-			if rt.workAvailable(nil) || rt.serviceReady() {
+			if rt.workAvailable(nil) || rt.queuedLive.Load() > 0 {
 				rt.signalWork()
 			}
 		}
